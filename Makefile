@@ -11,7 +11,7 @@ BENCH_TIME ?= 10x
 BENCH_COUNT ?= 3
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build test race race-serve lint verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke pgo serve
+.PHONY: build test race race-serve lint verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke serve
 
 # Tier-1 verification (ROADMAP.md): build + tests, then the race detector
 # and static checks. The experiment harness fans simulations out onto a
@@ -34,11 +34,16 @@ test:
 # The second pass matters on small hosts: lane-worker defaults follow
 # GOMAXPROCS, so on a 1-CPU runner the plain -race run never schedules two
 # lanes concurrently and the parallel merge/telemetry paths go untested.
+# The third runs the serial loop's record feed at 1 and 2 Ps: one P
+# interleaves its producer and consumer goroutines, two run them in
+# parallel.
 race:
 	$(GO) test -race ./...
 	DRISHTI_LANE_WORKERS=2 $(GO) test -race \
 		-run 'TestBatch|TestGoldenBatched|TestSweepBatched' \
 		./internal/sim/ ./internal/experiments/
+	$(GO) test -race -count 1 -cpu 1,2 -run 'TestFeed|TestGolden|TestRunMixContext' \
+		./internal/workload/ ./internal/sim/
 
 race-serve:
 	$(GO) test -race -short ./internal/serve/... ./internal/store/ ./internal/dist/ ./internal/obs/trace/
@@ -102,22 +107,6 @@ loadgen-smoke:
 # its span journal (render with drishti-sim -trace-timeline).
 trace-sample:
 	$(GO) run ./scripts/tracesample -out trace-sample.ndjson
-
-# pgo: regenerate default.pgo from the throughput benchmarks plus a trimmed
-# representative policy×mix sweep. Apply it explicitly with
-# `go build -pgo=default.pgo ./cmd/...` (auto mode only searches main
-# package directories). Measured on the dev container it is a small net
-# regression (see EXPERIMENTS.md §1.4), so verify/bench run without it; the
-# profile is kept committed for retesting on other hosts and toolchains.
-pgo:
-	$(GO) test -run '^$$' -pgo=off -bench 'BenchmarkSimulatorThroughput$$' -benchtime 60x -cpuprofile pgo_throughput.prof .
-	$(GO) test -run '^$$' -pgo=off -bench 'ThroughputCores' -benchtime 8x -cpuprofile pgo_cores.prof .
-	DRISHTI_INSTR=150000 DRISHTI_WARMUP=30000 DRISHTI_MIXES=6 DRISHTI_PARALLEL=1 \
-		$(GO) test -run '^$$' -pgo=off -bench 'Fig13MainPerf' -benchtime 1x -cpuprofile pgo_sweep.prof .
-	$(GO) tool pprof -proto pgo_throughput.prof pgo_cores.prof pgo_sweep.prof > default.pgo
-	rm -f pgo_throughput.prof pgo_cores.prof pgo_sweep.prof drishti.test
-	@echo "default.pgo regenerated; compare with:"
-	@echo "  go test -run '^$$$$' -pgo=default.pgo -bench BenchmarkSimulatorThroughput\$$$$ ."
 
 # serve: build and run the simulation job service (README "Running the
 # service"). Results and the persisted queue land in ./drishti.store.

@@ -735,7 +735,7 @@ const expChunkLen = 2048
 // Access.Cycle zero, which is safe because neither the cache bookkeeping
 // nor the L1/L2 policies (LRU, SRRIP) read it.
 type expStream struct {
-	src    trace.Reader
+	src    *trace.LoopReader
 	coreID int
 	l1, l2 *cache.Cache
 	base   uint64 // absolute index of chunks[0]'s first record
@@ -759,7 +759,7 @@ func newExpStream(cfg Config, coreID int, src trace.Reader) *expStream {
 	if err != nil {
 		panic(err)
 	}
-	return &expStream{src: src, coreID: coreID, l1: l1, l2: l2}
+	return &expStream{src: trace.NewLoopReader(src), coreID: coreID, l1: l1, l2: l2}
 }
 
 // fill expands one chunk of raw records through the private hierarchy.
@@ -779,14 +779,10 @@ func (e *expStream) fill() bool {
 		ck = newExpChunk(expChunkLen)
 	}
 	for len(ck.gap) < expChunkLen {
-		rec, ok := e.src.Next()
+		rec, ok := e.src.Next() // loops a finite trace, like workload.Feed
 		if !ok {
-			// Finite trace exhausted: loop it, mirroring System.step.
-			e.src.Reset()
-			if rec, ok = e.src.Next(); !ok {
-				e.done = true
-				break
-			}
+			e.done = true
+			break
 		}
 		e.expand(ck, rec)
 	}

@@ -200,11 +200,21 @@ func (c Config) Validate() error {
 	if c.SliceKB <= 0 || c.LLCWays <= 0 || c.L1KB <= 0 || c.L2KB <= 0 {
 		return fmt.Errorf("sim: cache sizes must be positive")
 	}
+	if c.L1Ways <= 0 || c.L2Ways <= 0 {
+		return fmt.Errorf("sim: private cache ways must be positive (L1 %d, L2 %d)", c.L1Ways, c.L2Ways)
+	}
 	if c.Instructions == 0 {
 		return fmt.Errorf("sim: zero instruction budget")
 	}
 	if c.llcSetsPerSlice() <= 0 {
 		return fmt.Errorf("sim: slice %d KB too small for %d ways", c.SliceKB, c.LLCWays)
+	}
+	if c.l1Sets() <= 0 || c.l2Sets() <= 0 {
+		return fmt.Errorf("sim: private caches (L1 %d KB × %d ways, L2 %d KB × %d ways) too small for one set",
+			c.L1KB, c.L1Ways, c.L2KB, c.L2Ways)
+	}
+	if c.TrackPCSlices && c.Cores > pcTrackSlices {
+		return fmt.Errorf("sim: PC→slice tracking covers at most %d slices, config has %d cores", pcTrackSlices, c.Cores)
 	}
 	if c.TelemetryEpoch > 0 && c.TelemetrySink == nil {
 		return fmt.Errorf("sim: telemetry epoch %d with no sink", c.TelemetryEpoch)

@@ -31,15 +31,40 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(4).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultConfig(4)
-	bad.Cores = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero cores accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero cores", func(c *Config) { c.Cores = 0 }},
+		{"zero instructions", func(c *Config) { c.Instructions = 0 }},
+		{"zero L1 ways", func(c *Config) { c.L1Ways = 0 }},
+		{"negative L1 ways", func(c *Config) { c.L1Ways = -4 }},
+		{"zero L2 ways", func(c *Config) { c.L2Ways = 0 }},
+		{"negative L2 ways", func(c *Config) { c.L2Ways = -8 }},
+		{"L1 smaller than one set", func(c *Config) { c.L1KB, c.L1Ways = 1, 32 }},
+		{"L2 smaller than one set", func(c *Config) { c.L2KB, c.L2Ways = 1, 32 }},
+		{"PC tracking past 128 cores", func(c *Config) { c.Cores, c.TrackPCSlices = 256, true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			tc.edit(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted the config")
+			}
+			// New validates first, so a bad config errors instead of
+			// panicking while the caches are built.
+			if _, err := New(cfg, make([]trace.Reader, max(cfg.Cores, 0))); err == nil {
+				t.Fatal("New accepted the config")
+			}
+		})
 	}
-	bad = DefaultConfig(4)
-	bad.Instructions = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero instructions accepted")
+	big := DefaultConfig(256)
+	if err := big.Validate(); err != nil {
+		t.Fatalf("256 cores without PC tracking: %v", err)
+	}
+	big.Cores, big.TrackPCSlices = 128, true
+	if err := big.Validate(); err != nil {
+		t.Fatalf("PC tracking at 128 cores: %v", err)
 	}
 }
 

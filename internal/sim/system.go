@@ -25,14 +25,14 @@ type System struct {
 
 	cores   []*cpu.Core
 	readers []trace.Reader // nil = idle core
-	// genReaders[i] is readers[i] when it is a *workload.Generator — the
-	// only reader type real runs use — letting the step loop call Next
-	// directly instead of through the interface.
-	genReaders []*workload.Generator
-	l1         []*cache.Cache
-	l2         []*cache.Cache
-	l1pf       []prefetch.Prefetcher
-	l2pf       []prefetch.Prefetcher
+	// feed delivers the readers' records during RunContext, generated on
+	// its own goroutine. Batch lanes leave it nil and step their
+	// shared-stream cursors directly.
+	feed *workload.Feed
+	l1   []*cache.Cache
+	l2   []*cache.Cache
+	l1pf []prefetch.Prefetcher
+	l2pf []prefetch.Prefetcher
 
 	llc      []*cache.Cache
 	built    *policies.Built
@@ -84,8 +84,12 @@ type recorded struct {
 	ipc    float64
 }
 
+// pcTrackSlices is how many slices the Fig 2 tracker's bitmap covers;
+// Config.Validate rejects TrackPCSlices on larger machines.
+const pcTrackSlices = 128
+
 type pcTrack struct {
-	slices [2]uint64 // bitmap over up to 128 slices
+	slices [pcTrackSlices / 64]uint64 // bitmap over the slices a PC touched
 	loads  uint64
 }
 
@@ -95,7 +99,9 @@ type pcTrack struct {
 const pcSlicesLimit = 1 << 16
 
 // New builds a system for cfg running mix readers (one per core; nil entries
-// leave that core idle — used for the IPC-alone runs).
+// leave that core idle — used for the IPC-alone runs). RunContext calls the
+// readers' Next and Reset from one goroutine of its own, never the
+// caller's, and only while it runs (see RunContext).
 func New(cfg Config, readers []trace.Reader) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -104,14 +110,9 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 		return nil, fmt.Errorf("sim: %d readers for %d cores", len(readers), cfg.Cores)
 	}
 	rnd := stats.NewRand(cfg.Seed ^ 0x5eed)
-	genReaders := make([]*workload.Generator, len(readers))
-	for i, rd := range readers {
-		genReaders[i], _ = rd.(*workload.Generator)
-	}
 	s := &System{
 		cfg:             cfg,
 		readers:         readers,
-		genReaders:      genReaders,
 		mesh:            noc.NewMesh(cfg.Cores, cfg.MeshPerHop, cfg.MeshRouter),
 		star:            noc.NewStar(cfg.Cores, cfg.StarLatency),
 		finishedAt:      make([]recorded, cfg.Cores),
@@ -452,11 +453,21 @@ func (s *System) trackPC(coreID int, pc uint64, sliceID int) {
 // uncancellable run or returns an error. context.Background (whose Done
 // channel is nil) costs one nil check per step, so the non-cancellable
 // path is unchanged.
+//
+// Records come through a workload.Feed: the readers run on one producer
+// goroutine that fills small per-core chunks ahead of the step loop, so
+// generation overlaps simulation on a second CPU. Each core sees exactly
+// its reader's record sequence, finite readers looped via Reset. Next and
+// Reset are called only from that goroutine, and RunContext returns only
+// after it has exited — on completion, error, cancellation or a stall —
+// so the caller may inspect the readers afterwards without synchronizing.
 func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	r, err := s.newRunner(ctx)
 	if err != nil {
 		return nil, err
 	}
+	s.feed = workload.NewFeed(s.readers)
+	defer s.feed.Close()
 	done, _, err := r.run(^uint64(0))
 	if err != nil {
 		return nil, err
@@ -482,18 +493,13 @@ func (s *System) warmupBase() uint64 {
 func (s *System) step(coreID int) {
 	var rec trace.Rec
 	var ok bool
-	if g := s.genReaders[coreID]; g != nil {
-		rec, ok = g.Next()
+	if s.feed != nil {
+		rec, ok = s.feed.Next(coreID)
 	} else {
 		rec, ok = s.readers[coreID].Next()
 	}
 	if !ok {
-		// Finite trace exhausted: loop it to keep contention alive.
-		s.readers[coreID].Reset()
-		rec, ok = s.readers[coreID].Next()
-		if !ok {
-			return
-		}
+		return // degenerate source: empty even after a Reset
 	}
 	core := s.cores[coreID]
 	core.AdvanceNonMem(rec.Gap)

@@ -88,7 +88,8 @@ type LoopReader struct {
 }
 
 // NewLoopReader wraps inner; when inner is exhausted it is Reset and
-// reading continues. inner must produce at least one record.
+// reading continues. If inner is empty even after a Reset, Next returns
+// ok=false.
 func NewLoopReader(inner Reader) *LoopReader { return &LoopReader{inner: inner} }
 
 // Next implements Reader.

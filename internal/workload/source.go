@@ -18,8 +18,8 @@ type Source struct {
 	// Phased runs a phase-changing schedule (PhasedGenerator) seeded
 	// with the core's mix seed.
 	Phased *PhasedModel
-	// Trace replays a recorded stream. Finite streams loop: the
-	// simulator Resets an exhausted reader exactly like Stream does.
+	// Trace replays a recorded stream. Finite streams loop: Feed and
+	// Stream both Reset an exhausted reader and read on.
 	Trace *TraceData
 }
 

@@ -16,11 +16,11 @@ const streamChunkLen = 2048
 // shared-trace layer of batched simulation: one generator produces each
 // record exactly once, and every lane replays it through its own Cursor.
 //
-// A finite source is looped (Reset + reread) exactly like the simulator's
-// step loop does, so cursors see an endless stream either way. Storage is
-// bounded by the caller advancing Release past positions no cursor will
-// read again; reading below the released low-water mark panics (it is a
-// scheduling bug, not a recoverable condition).
+// A finite source is looped (Reset + reread) exactly like Feed loops the
+// serial simulator's readers, so cursors see an endless stream either way.
+// Storage is bounded by the caller advancing Release past positions no
+// cursor will read again; reading below the released low-water mark panics
+// (it is a scheduling bug, not a recoverable condition).
 //
 // Stream is not safe for unsynchronized concurrent mutation. Concurrent
 // batched lanes may read already-materialized records through their
@@ -29,7 +29,7 @@ const streamChunkLen = 2048
 // at barriers when no cursor is reading (the lockstep discipline in
 // sim.runLockstep).
 type Stream struct {
-	src      trace.Reader
+	src      *trace.LoopReader
 	chunkLen uint64
 	base     uint64 // absolute record index of chunks[0][0]
 	next     uint64 // absolute record index of the first unmaterialized record
@@ -43,7 +43,7 @@ func NewStream(src trace.Reader, chunkLen int) *Stream {
 	if chunkLen <= 0 {
 		chunkLen = streamChunkLen
 	}
-	return &Stream{src: src, chunkLen: uint64(chunkLen)}
+	return &Stream{src: trace.NewLoopReader(src), chunkLen: uint64(chunkLen)}
 }
 
 // get returns the record at absolute position pos, materializing from the
@@ -61,9 +61,9 @@ func (s *Stream) get(pos uint64) (trace.Rec, bool) {
 	return s.chunks[off/s.chunkLen][off%s.chunkLen], true
 }
 
-// fill materializes one more chunk. A finite source is looped via Reset,
-// mirroring the simulator's own exhaustion handling, so every chunk is
-// full unless the source is empty even after a Reset.
+// fill materializes one more chunk. A finite source is looped via Reset
+// (see fillChunk), so every chunk is full unless the source is empty even
+// after a Reset.
 func (s *Stream) fill() bool {
 	if s.done {
 		return false
@@ -74,17 +74,8 @@ func (s *Stream) fill() bool {
 	} else {
 		c = make([]trace.Rec, 0, s.chunkLen)
 	}
-	for uint64(len(c)) < s.chunkLen {
-		rec, ok := s.src.Next()
-		if !ok {
-			s.src.Reset()
-			if rec, ok = s.src.Next(); !ok {
-				s.done = true
-				break
-			}
-		}
-		c = append(c, rec)
-	}
+	c, ok := fillChunk(s.src, c, int(s.chunkLen))
+	s.done = !ok
 	if len(c) == 0 {
 		return false
 	}
