@@ -53,7 +53,6 @@ func run() int {
 		seed       = cc.Uint64("seed", "DRISHTI_SEED", 1, "workload seed")
 		parallel   = cc.Int("parallel", "DRISHTI_PARALLEL", 0, "sweep worker-pool size (0 = GOMAXPROCS; 1 = serial)")
 		laneWkrs   = cc.Int("lane-workers", "DRISHTI_LANE_WORKERS", 0, "concurrent lanes per batched mix; composes with -parallel as mixes × lanes ≤ budget (0 = derived; bit-identical at every setting)")
-		batch      = cc.Bool("batch", "DRISHTI_BATCH", true, "batch sweep cells sharing a mix into one lockstep simulation (bit-identical; false forces per-cell runs)")
 		quiet      = flag.Bool("quiet", false, "suppress progress and info-level run logs")
 		telem      = cc.Telemetry()
 		httpAddr   = flag.String("http", "", "serve /metrics and /debug/pprof on `addr` (e.g. :8080)")
@@ -89,9 +88,6 @@ func run() int {
 		Seed:         *seed,
 		Parallelism:  *parallel,
 		LaneWorkers:  *laneWkrs,
-	}
-	if !*batch {
-		p.Batch = experiments.BatchOff
 	}
 	p.Logger = log
 

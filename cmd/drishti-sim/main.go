@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -69,7 +70,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the full result as JSON instead of the report")
 		mshrs    = flag.Bool("mshrs", false, "enforce strict Table 4 MSHR limits (8/16/64)")
 		inclus   = flag.Bool("inclusive", false, "inclusive LLC (back-invalidating; baseline is non-inclusive)")
-		batch    = cc.Bool("batch", "DRISHTI_BATCH", true, "with -metrics, run the mix and the per-core alone passes as one lockstep batch (bit-identical; false forces separate runs)")
 		laneWkrs = cc.Int("lane-workers", "DRISHTI_LANE_WORKERS", 0, "concurrent lanes inside a batched run; 0 = GOMAXPROCS (bit-identical at every setting)")
 		quiet    = flag.Bool("quiet", false, "suppress info-level run logs")
 
@@ -165,17 +165,17 @@ func main() {
 		res   *sim.Result
 		alone []float64 // per-core alone IPCs, only under -metrics
 	)
-	if wantMetrics && *batch {
+	ctx := context.Background()
+	if wantMetrics {
 		// One lockstep batch: the mix lane plus one alone lane per core
-		// share a single generation of the access streams. Lane results are
-		// bit-identical to the separate runs below.
+		// share a single generation of the access streams.
 		variants := make([]sim.Variant, 1+*cores)
 		variants[0] = sim.Variant{Policy: cfg.Policy}
 		for c := 0; c < *cores; c++ {
 			variants[1+c] = sim.Variant{Policy: cfg.Policy, Alone: true, AloneCore: c}
 		}
 		var results []*sim.Result
-		results, err = sim.RunBatch(cfg, variants, mix)
+		results, err = sim.RunBatchContext(ctx, cfg, variants, mix)
 		if err == nil {
 			res = results[0]
 			alone = make([]float64, *cores)
@@ -184,10 +184,7 @@ func main() {
 			}
 		}
 	} else {
-		res, err = sim.RunMix(cfg, mix)
-		if err == nil && wantMetrics {
-			alone, err = sim.RunAlone(cfg, mix)
-		}
+		res, err = sim.RunMixContext(ctx, cfg, mix)
 	}
 	if err != nil {
 		fatal(err)
@@ -310,7 +307,7 @@ func runScenario(w io.Writer, path string, check, jsonOut bool, override func(*s
 				cfg.Policy = p
 				log.Info("running", "run", obs.RunID(cfg.Key(), r.Mix.Key()),
 					"scenarioRun", r.Name, "policy", p.DisplayName(), "mix", r.Mix.Name)
-				res, err := sim.RunMix(cfg, r.Mix)
+				res, err := sim.RunMixContext(context.Background(), cfg, r.Mix)
 				if err != nil {
 					return fmt.Errorf("scenario run %s policy %s: %w", r.Name, p.DisplayName(), err)
 				}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -46,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sys.Run(); err != nil {
+		if _, err := sys.RunContext(context.Background()); err != nil {
 			log.Fatal(err)
 		}
 

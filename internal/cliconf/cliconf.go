@@ -113,7 +113,7 @@ func (s *Set) Uint64(name, env string, def uint64, help string) *uint64 {
 }
 
 // Bool registers a bool knob. The env layer accepts strconv.ParseBool
-// forms, so DRISHTI_BATCH=0 turns batching off and =1 turns it on.
+// forms: 1/t/true turn the knob on and 0/f/false turn it off.
 func (s *Set) Bool(name, env string, def bool, help string) *bool {
 	p := s.fs.Bool(name, def, usage(help, env))
 	s.knob(name, env, func(v string) error {

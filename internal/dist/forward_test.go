@@ -11,6 +11,7 @@ import (
 
 	"drishti/internal/dist"
 	"drishti/internal/obs"
+	"drishti/internal/ring"
 	"drishti/internal/serve"
 	"drishti/internal/serve/api"
 	"drishti/internal/store"
@@ -22,15 +23,40 @@ import (
 // before construction), two stateless coordinator+service pairs, each
 // holding its own store handle over the same shard directories — exactly
 // two `drishti-served -fleet -peers=...` processes on a shared filesystem.
-func newPeeredFleets(t *testing.T, workersB bool) (*fleet, *fleet) {
+//
+// Ring ownership follows the listeners' random ports, so the servers
+// re-listen (a bounded number of times) until each coordinator owns at
+// least one of req's cells; otherwise the whole sweep could land on one
+// coordinator and nothing would be forwarded.
+func newPeeredFleets(t *testing.T, req api.JobRequest, workersB bool) (*fleet, *fleet) {
 	t.Helper()
 	root := t.TempDir()
 	dirs := []string{filepath.Join(root, "shard0"), filepath.Join(root, "shard1")}
 
-	sA := httptest.NewUnstartedServer(http.NotFoundHandler())
-	sB := httptest.NewUnstartedServer(http.NotFoundHandler())
-	urlA := "http://" + sA.Listener.Addr().String()
-	urlB := "http://" + sB.Listener.Addr().String()
+	keys := cellKeys(t, req)
+	var (
+		sA, sB     *httptest.Server
+		urlA, urlB string
+	)
+	for attempt := 1; ; attempt++ {
+		sA = httptest.NewUnstartedServer(http.NotFoundHandler())
+		sB = httptest.NewUnstartedServer(http.NotFoundHandler())
+		urlA = "http://" + sA.Listener.Addr().String()
+		urlB = "http://" + sB.Listener.Addr().String()
+		owners := make(map[string]bool)
+		rg := ring.New([]string{urlA, urlB}, 0) // as dist.NewCoordinator builds it
+		for _, k := range keys {
+			owners[rg.Owner(k)] = true
+		}
+		if owners[urlA] && owners[urlB] {
+			break
+		}
+		sA.Listener.Close()
+		sB.Listener.Close()
+		if attempt == 20 {
+			t.Fatalf("%d listener pairs never split %d cells across both coordinators", attempt, len(keys))
+		}
+	}
 
 	build := func(self, peer string, srv *httptest.Server) *fleet {
 		st, err := store.OpenSharded(dirs, 0) // write-through: peers see results immediately
@@ -74,14 +100,51 @@ func newPeeredFleets(t *testing.T, workersB bool) (*fleet, *fleet) {
 	fB := build(urlB, urlA, sB)
 
 	startWorker(t, fA, dist.WorkerOptions{Name: "wa", Capacity: 2})
+	waitWorkers(t, fA)
 	if workersB {
+		// An owner without a live worker declines forwarded cells, so B's
+		// worker must have registered before a test submits.
 		startWorker(t, fB, dist.WorkerOptions{Name: "wb", Capacity: 2})
+		waitWorkers(t, fB)
 	}
 	return fA, fB
 }
 
-// forwardSweep is large enough (8 cells) that the deterministic cell-key
-// ring reliably splits ownership across two coordinators.
+// waitWorkers blocks until f's coordinator reports a registered worker.
+func waitWorkers(t *testing.T, f *fleet) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); len(fleetStatus(t, f).Workers) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// cellKeys returns the ring keys of req's cells, as the coordinator
+// derives them after the service applies the request defaults.
+func cellKeys(t *testing.T, req api.JobRequest) []string {
+	t.Helper()
+	req = req.WithDefaults()
+	nw, np, err := req.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for wi := 0; wi < nw; wi++ {
+		for pi := 0; pi < np; pi++ {
+			cfg, mix, err := req.Cell(wi, pi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, api.CellKey(cfg, mix))
+		}
+	}
+	return keys
+}
+
+// forwardSweep is an 8-cell sweep; newPeeredFleets makes sure the ring
+// splits its ownership across the two coordinators.
 func forwardSweep(t *testing.T) api.JobRequest {
 	t.Helper()
 	name := workload.AllSPECGAP()[0].Name
@@ -126,7 +189,7 @@ func TestE2EMultiCoordinatorShardedByteIdentical(t *testing.T) {
 	want := canonicalPayload(t, fetchResult(t, sf, sid))
 
 	// Two-coordinator run, submitted to A.
-	fA, fB := newPeeredFleets(t, true)
+	fA, fB := newPeeredFleets(t, req, true)
 	id := submitJob(t, fA, req)
 	waitDone(t, fA, id, 60*time.Second)
 	got := canonicalPayload(t, fetchResult(t, fA, id))
@@ -167,7 +230,7 @@ func TestE2EMultiCoordinatorShardedByteIdentical(t *testing.T) {
 // is an optimization, never a dependency.
 func TestForwardDeclinedWorkerlessOwner(t *testing.T) {
 	req := forwardSweep(t)
-	fA, fB := newPeeredFleets(t, false) // B has no workers
+	fA, fB := newPeeredFleets(t, req, false) // B has no workers
 	id := submitJob(t, fA, req)
 	waitDone(t, fA, id, 60*time.Second)
 	res := fetchResult(t, fA, id)

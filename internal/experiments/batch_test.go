@@ -1,83 +1,121 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"drishti/internal/metrics"
 	"drishti/internal/policies"
+	"drishti/internal/sim"
 )
 
 // TestSweepBatchedMatchesUnbatched is the sweep-level bit-identity guard
-// for lockstep batching: the batched grouper (alone + baseline + policy
-// lanes over one shared stream per mix) must produce exactly the
-// per-cell path's numbers. The two sweeps run CONCURRENTLY on purpose —
-// under -race this doubles as the shared-state check for the batch
-// grouper racing a plain sweep through the same memo caches.
+// for lockstep batching: every number the batched sweep reports (alone
+// IPCs, baseline WS, normWS, MPKI, WPKI, energy) must equal the value the
+// test computes itself from separate sim.RunMixContext and
+// sim.RunAloneNContext runs and metrics.Compute — an oracle that shares
+// no code with the batch grouper. Two sweeps (Parallelism 1 and 2) run
+// CONCURRENTLY on purpose: under -race this doubles as the shared-state
+// check for batch groups racing each other through the same memo caches.
 func TestSweepBatchedMatchesUnbatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep determinism test is not -short")
 	}
 	cfg, mixes, specs := sweepFixture()
+	ctx := context.Background()
+
+	// Independent reference: one simulation per cell, alone IPCs and the
+	// LRU baseline measured separately, normalized by hand.
+	type ref struct {
+		alone  []float64
+		baseWS float64
+		normWS []float64
+		res    []*sim.Result
+	}
+	refs := make([]ref, len(mixes))
+	for mi, mix := range mixes {
+		base := cfg
+		base.Policy = policies.Spec{Name: "lru"}
+		alone, err := sim.RunAloneNContext(ctx, base, mix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseRes, err := sim.RunMixContext(ctx, base, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm, err := metrics.Compute(baseRes.IPCs(), alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := ref{alone: alone, baseWS: bm.WS}
+		for _, spec := range specs {
+			c := cfg
+			c.Policy = spec
+			res, err := sim.RunMixContext(ctx, c, mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := metrics.Compute(res.IPCs(), alone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.normWS = append(r.normWS, m.WS/bm.WS)
+			r.res = append(r.res, res)
+		}
+		refs[mi] = r
+	}
 
 	ResetCache()
-	var (
-		wg                   sync.WaitGroup
-		batched, unbatched   *sweepResult
-		batchErr, unbatchErr error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		batched, batchErr = runSweep(cfg, mixes, specs, Params{Parallelism: 2, Batch: BatchAuto})
-	}()
-	go func() {
-		defer wg.Done()
-		unbatched, unbatchErr = runSweep(cfg, mixes, specs, Params{Parallelism: 2, Batch: BatchOff})
-	}()
+	pars := []int{1, 2}
+	sweeps := make([]*sweepResult, len(pars))
+	errs := make([]error, len(pars))
+	var wg sync.WaitGroup
+	for i, par := range pars {
+		wg.Add(1)
+		go func(i, par int) {
+			defer wg.Done()
+			sweeps[i], errs[i] = runSweep(cfg, mixes, specs, Params{Parallelism: par})
+		}(i, par)
+	}
 	wg.Wait()
 	ResetCache()
-	if batchErr != nil {
-		t.Fatalf("batched sweep: %v", batchErr)
-	}
-	if unbatchErr != nil {
-		t.Fatalf("unbatched sweep: %v", unbatchErr)
-	}
 
-	for si := range specs {
-		for mi := range mixes {
-			if b, u := batched.normWS[si][mi], unbatched.normWS[si][mi]; b != u {
-				t.Errorf("normWS[%d][%d]: batched %v != unbatched %v", si, mi, b, u)
-			}
-			bres, ures := batched.outcomes[si][mi].res, unbatched.outcomes[si][mi].res
-			if bres.MPKI != ures.MPKI {
-				t.Errorf("MPKI[%d][%d]: batched %v != unbatched %v", si, mi, bres.MPKI, ures.MPKI)
-			}
-			if bres.WPKI != ures.WPKI {
-				t.Errorf("WPKI[%d][%d]: batched %v != unbatched %v", si, mi, bres.WPKI, ures.WPKI)
-			}
-			if bres.Energy.Total != ures.Energy.Total {
-				t.Errorf("energy[%d][%d]: batched %v != unbatched %v", si, mi,
-					bres.Energy.Total, ures.Energy.Total)
-			}
+	for i, sr := range sweeps {
+		par := pars[i]
+		if errs[i] != nil {
+			t.Fatalf("parallelism %d sweep: %v", par, errs[i])
 		}
-	}
-	for mi := range mixes {
-		bev, uev := batched.evals[mi], unbatched.evals[mi]
-		if bev == nil || uev == nil {
-			t.Fatalf("eval[%d] missing: batched %v unbatched %v", mi, bev, uev)
-		}
-		if bev.baseWS != uev.baseWS {
-			t.Errorf("baseWS[%d]: batched %v != unbatched %v", mi, bev.baseWS, uev.baseWS)
-		}
-		for c := range bev.alone {
-			if bev.alone[c] != uev.alone[c] {
-				t.Errorf("alone[%d][%d]: batched %v != unbatched %v", mi, c, bev.alone[c], uev.alone[c])
+		for mi, r := range refs {
+			ev := sr.evals[mi]
+			if ev == nil {
+				t.Fatalf("parallelism %d: eval[%d] missing", par, mi)
 			}
-		}
-	}
-	for si := range specs {
-		if batched.geoNormWS(si) != unbatched.geoNormWS(si) {
-			t.Errorf("geoNormWS(%d) differs", si)
+			if ev.baseWS != r.baseWS {
+				t.Errorf("parallelism %d baseWS[%d]: sweep %v != reference %v", par, mi, ev.baseWS, r.baseWS)
+			}
+			for c := range r.alone {
+				if ev.alone[c] != r.alone[c] {
+					t.Errorf("parallelism %d alone[%d][%d]: sweep %v != reference %v", par, mi, c, ev.alone[c], r.alone[c])
+				}
+			}
+			for si := range specs {
+				if got, want := sr.normWS[si][mi], r.normWS[si]; got != want {
+					t.Errorf("parallelism %d normWS[%d][%d]: sweep %v != reference %v", par, si, mi, got, want)
+				}
+				got, want := sr.outcomes[si][mi].res, r.res[si]
+				if got.MPKI != want.MPKI {
+					t.Errorf("parallelism %d MPKI[%d][%d]: sweep %v != reference %v", par, si, mi, got.MPKI, want.MPKI)
+				}
+				if got.WPKI != want.WPKI {
+					t.Errorf("parallelism %d WPKI[%d][%d]: sweep %v != reference %v", par, si, mi, got.WPKI, want.WPKI)
+				}
+				if got.Energy.Total != want.Energy.Total {
+					t.Errorf("parallelism %d energy[%d][%d]: sweep %v != reference %v", par, si, mi,
+						got.Energy.Total, want.Energy.Total)
+				}
+			}
 		}
 	}
 }
@@ -95,12 +133,12 @@ func TestSweepBatchedLaneWorkersMatchesSerial(t *testing.T) {
 	cfg, mixes, specs := sweepFixture()
 
 	ResetCache()
-	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1, LaneWorkers: 1, Batch: BatchAuto})
+	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1, LaneWorkers: 1})
 	if err != nil {
 		t.Fatalf("serial batched sweep: %v", err)
 	}
 	ResetCache()
-	par, err := runSweep(cfg, mixes, specs, Params{Parallelism: 2, LaneWorkers: 2, Batch: BatchAuto})
+	par, err := runSweep(cfg, mixes, specs, Params{Parallelism: 2, LaneWorkers: 2})
 	if err != nil {
 		t.Fatalf("parallel batched sweep: %v", err)
 	}
@@ -150,7 +188,7 @@ func TestSweepBatchedDedupsBaseline(t *testing.T) {
 	specs := []policies.Spec{{Name: "lru"}, {Name: "srrip"}}
 
 	ResetCache()
-	sr, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1, Batch: BatchAuto})
+	sr, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // Params control experiment scale. Environment variables override the
 // defaults for full-fidelity runs: DRISHTI_SCALE, DRISHTI_INSTR,
 // DRISHTI_WARMUP, DRISHTI_MIXES, DRISHTI_SEED, DRISHTI_PARALLEL,
-// DRISHTI_LANE_WORKERS, DRISHTI_BATCH.
+// DRISHTI_LANE_WORKERS.
 type Params struct {
 	Scale        int    // machine + workload shrink factor
 	Instructions uint64 // measured instructions per core
@@ -38,13 +38,14 @@ type Params struct {
 	Seed         uint64
 
 	// Context, when non-nil, cancels in-flight experiments: sweeps stop
-	// dispatching cells and running simulations abort with a wrapped
+	// dispatching mixes and running simulations abort with a wrapped
 	// ctx.Err(). The zero value behaves exactly like context.Background —
 	// results are bit-identical to an uncancellable run.
 	Context context.Context
 
-	// Parallelism bounds the sweep worker pool: how many (mix, policy)
-	// simulations run concurrently. 0 means GOMAXPROCS. Results are
+	// Parallelism bounds how many simulations run concurrently: sweeps
+	// split it between concurrent mixes and the lanes of each mix's
+	// lockstep batch (see LaneWorkers). 0 means GOMAXPROCS. Results are
 	// bit-identical at every setting; 1 forces the serial path.
 	Parallelism int
 
@@ -75,28 +76,7 @@ type Params struct {
 	// tagged with the mix name and carry the policy name.
 	TelemetryEpoch uint64
 	TelemetrySink  obs.EpochSink
-
-	// Batch selects how sweeps execute the cells that share a mix.
-	// BatchAuto (the zero value, the default) groups them — every policy
-	// cell, the LRU baseline, and the per-core alone calibration runs —
-	// into one lockstep batch over a shared access stream
-	// (sim.RunBatchContext), paying workload generation once per mix
-	// instead of once per run. BatchOff forces the historical one-
-	// simulation-per-cell path. Results are bit-identical either way
-	// (golden-tested), so this is purely a throughput/memory knob;
-	// DRISHTI_BATCH=0 flips the default to off.
-	Batch BatchMode
 }
-
-// BatchMode selects the sweep execution strategy; see Params.Batch.
-type BatchMode int
-
-const (
-	// BatchAuto (zero value) batches cells sharing a mix.
-	BatchAuto BatchMode = iota
-	// BatchOff runs every cell as its own simulation.
-	BatchOff
-)
 
 // ctx returns the cancellation context, defaulting to Background.
 func (p Params) ctx() context.Context {
@@ -146,9 +126,6 @@ func DefaultParams() Params {
 	}
 	if v, ok := envInt("DRISHTI_LANE_WORKERS"); ok {
 		p.LaneWorkers = v
-	}
-	if v, ok := envInt("DRISHTI_BATCH"); ok && v == 0 {
-		p.Batch = BatchOff
 	}
 	return p
 }

@@ -51,44 +51,14 @@ func TestSweepObservability(t *testing.T) {
 		if !strings.HasPrefix(ln, "{") || !strings.HasSuffix(ln, "}") {
 			t.Fatalf("torn NDJSON line: %q", ln)
 		}
-		// The default (batched) sweep attributes every epoch to its cell
-		// and batch lane, so a shared sink never collapses the K lanes of
-		// one lockstep batch into a single stream.
+		// The sweep attributes every epoch to its cell and batch lane, so
+		// a shared sink never collapses the K lanes of one lockstep batch
+		// into a single stream.
 		if !strings.Contains(ln, `"cell":`) {
 			t.Fatalf("epoch line missing cell run ID: %q", ln)
 		}
 		if !strings.Contains(ln, `"lane":`) {
 			t.Fatalf("batched epoch line missing lane tag: %q", ln)
-		}
-	}
-}
-
-// TestSweepTelemetrySerialTagsCellNotLane: the unbatched path stamps each
-// epoch with its cell's run ID but no lane — lanes are a batch concept.
-func TestSweepTelemetrySerialTagsCellNotLane(t *testing.T) {
-	cfg, mixes, specs := sweepFixture()
-	var telemOut bytes.Buffer
-	p := Params{Parallelism: 1, Batch: BatchOff}
-	p.TelemetryEpoch = 5000
-	p.TelemetrySink = obs.NewNDJSONWriter(&telemOut)
-	cfg.TelemetryEpoch = p.TelemetryEpoch
-	cfg.TelemetrySink = p.TelemetrySink
-
-	ResetCache()
-	defer ResetCache()
-	if _, err := runSweep(cfg, mixes[:1], specs[:1], p); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(telemOut.String()), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("serial sweep emitted no telemetry")
-	}
-	for _, ln := range lines {
-		if !strings.Contains(ln, `"cell":`) {
-			t.Fatalf("serial epoch line missing cell run ID: %q", ln)
-		}
-		if strings.Contains(ln, `"lane":`) {
-			t.Fatalf("serial epoch line carries a lane tag: %q", ln)
 		}
 	}
 }

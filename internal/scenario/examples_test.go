@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,7 +71,7 @@ func TestExampleScenarioRuns(t *testing.T) {
 		for _, pol := range c.Policies {
 			cfg := run.Cfg
 			cfg.Policy = pol
-			res, err := sim.RunMix(cfg, run.Mix)
+			res, err := sim.RunMixContext(context.Background(), cfg, run.Mix)
 			if err != nil {
 				t.Fatalf("run %s policy %s: %v", run.Name, pol.DisplayName(), err)
 			}

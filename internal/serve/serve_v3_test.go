@@ -42,7 +42,8 @@ func TestTenantQuota429(t *testing.T) {
 
 // TestDerivedRetryAfter pins the Retry-After derivation: depth+1 jobs at
 // the observed mean duration over the worker pool, clamped to [1, 60],
-// falling back to 5 with no history.
+// falling back to 5 with no history. The queue depth is an argument, so
+// the service's live workers cannot drain it mid-assertion.
 func TestDerivedRetryAfter(t *testing.T) {
 	s, _, _ := testService(t, Options{Workers: 2, QueueCap: 4})
 	defer s.Shutdown(shortCtx(t))
@@ -54,20 +55,20 @@ func TestDerivedRetryAfter(t *testing.T) {
 	s.mu.Lock()
 	s.durTotal, s.durCount = 4*time.Second, 1
 	s.mu.Unlock()
-	for i := 0; i < 3; i++ {
-		s.q.push(&Job{Request: smallSweep(t)})
+	if got := s.retryAfterFor(3); got != 8 {
+		t.Fatalf("retryAfterFor(3) = %d, want 8 (4 jobs x 4s / 2 workers)", got)
 	}
-	if got := s.retryAfterSec(); got != 8 {
-		t.Fatalf("retryAfterSec = %d, want 8 (4 jobs x 4s / 2 workers)", got)
+	// An empty queue still waits for the incoming job: ceil(4s/2) = 2s.
+	if got := s.retryAfterSec(); got != 2 {
+		t.Fatalf("retryAfterSec on an empty queue = %d, want 2", got)
 	}
 	// A huge backlog estimate clamps to 60.
 	s.mu.Lock()
 	s.durTotal = 10 * time.Minute
 	s.mu.Unlock()
-	if got := s.retryAfterSec(); got != 60 {
-		t.Fatalf("retryAfterSec = %d, want clamp 60", got)
+	if got := s.retryAfterFor(3); got != 60 {
+		t.Fatalf("retryAfterFor(3) = %d, want clamp 60", got)
 	}
-	s.q.drain() // don't leave fake jobs for Shutdown to persist
 }
 
 // TestPriorityLanes: the queue drains interactive before normal before

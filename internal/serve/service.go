@@ -373,10 +373,14 @@ func (s *Service) notifyLocked(j *Job) {
 }
 
 // retryAfterSec derives the Retry-After hint for 429 responses from the
-// queue's current drain rate: depth+1 jobs ahead, each taking the observed
-// mean wall time, spread over the worker pool. Clamped to [1s, 60s]; with
-// no finished jobs yet (no rate estimate) it falls back to 5s.
-func (s *Service) retryAfterSec() int {
+// queue's current drain rate (see retryAfterFor).
+func (s *Service) retryAfterSec() int { return s.retryAfterFor(s.q.depth()) }
+
+// retryAfterFor is the Retry-After arithmetic for a queue holding depth
+// jobs: depth+1 jobs ahead, each taking the observed mean wall time,
+// spread over the worker pool. Clamped to [1s, 60s]; with no finished
+// jobs yet (no rate estimate) it falls back to 5s.
+func (s *Service) retryAfterFor(depth int) int {
 	s.mu.Lock()
 	var mean time.Duration
 	if s.durCount > 0 {
@@ -386,7 +390,7 @@ func (s *Service) retryAfterSec() int {
 	if mean <= 0 || s.opts.Workers <= 0 {
 		return 5
 	}
-	wait := time.Duration(s.q.depth()+1) * mean / time.Duration(s.opts.Workers)
+	wait := time.Duration(depth+1) * mean / time.Duration(s.opts.Workers)
 	sec := int((wait + time.Second - 1) / time.Second)
 	if sec < 1 {
 		sec = 1

@@ -64,9 +64,9 @@ const batchQuantum = 8192
 // shrink it to exercise the deadlock-breaker growth path.
 var batchWindow uint64 = 8192
 
-// batchMemBudget bounds the estimated resident shared-window bytes; above
-// it RunBatchContext falls back to per-lane generator forks (no shared
-// window, same results). A variable so tests can force the fork path.
+// batchMemBudget bounds the estimated resident shared-window bytes; a
+// batch whose estimate exceeds it runs with a smaller window (see
+// lockstepWindow). A variable so tests can force the shrunk window.
 var batchMemBudget = 256 << 20
 
 // epochBuffer queues one lane's telemetry epochs so concurrent lanes
@@ -197,9 +197,6 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 	}
 
 	tier2 := tier2Eligible(base)
-	if batchResidentBytes(used, tier2) > batchMemBudget {
-		return runBatchForked(ctx, cfgs, variants, mix, workers, bufs)
-	}
 
 	// Shared per-core streams, built only for cores some lane activates.
 	po := base.Phases
@@ -245,7 +242,8 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 		}
 		lanes[i] = ln
 	}
-	if err := runLockstep(lanes, raws, exps, po, workers, bufs); err != nil {
+	window := lockstepWindow(used, tier2)
+	if err := runLockstep(lanes, raws, exps, po, workers, bufs, window); err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(lanes))
@@ -273,8 +271,12 @@ func tier2Eligible(cfg Config) bool {
 	return noPf(cfg.L1Prefetcher) && noPf(cfg.L2Prefetcher) && !cfg.InclusiveLLC
 }
 
-// batchResidentBytes estimates the peak resident shared-window footprint.
-func batchResidentBytes(used []bool, tier2 bool) int {
+// lockstepWindow returns the per-core lane skew for a batch: batchWindow,
+// shrunk when the estimated resident shared window — the window plus the
+// chunks in flight on either side of it, per active core — would exceed
+// batchMemBudget, but never below one chunk. A smaller window only pauses
+// fast lanes sooner, so results are identical at every window.
+func lockstepWindow(used []bool, tier2 bool) uint64 {
 	perRec := 24 // trace.Rec
 	if tier2 {
 		perRec = 42 // expStream SoA columns
@@ -285,8 +287,11 @@ func batchResidentBytes(used []bool, tier2 bool) int {
 			cores++
 		}
 	}
-	// Window plus the chunks in flight on either side of it.
-	return cores * (int(batchWindow) + 2*streamChunkLen) * perRec
+	window := batchWindow
+	if fits := batchMemBudget/(cores*perRec) - 2*streamChunkLen; fits < int(window) {
+		window = uint64(max(fits, streamChunkLen))
+	}
+	return window
 }
 
 // streamChunkLen mirrors workload's default chunk size for the estimate.
@@ -372,9 +377,10 @@ func (ln *batchLane) quantum(i int, po PhaseObserver) laneOutcome {
 }
 
 // runLockstep drives every lane in rotation quanta until all finish.
-// Per-core limits bound lane skew; the floor (lowest-position) lane of a
-// core is never gated, and if cross-core window shapes ever block every
-// lane in one rotation, the limits grow by a window so progress resumes.
+// Per-core limits bound lane skew to window records; the floor
+// (lowest-position) lane of a core is never gated, and if cross-core
+// window shapes ever block every lane in one rotation, the limits grow by
+// a window so progress resumes.
 //
 // With workers > 1 each rotation's quanta run concurrently on a bounded
 // pool. That is race-free because the barrier materializes the shared
@@ -391,7 +397,7 @@ func (ln *batchLane) quantum(i int, po PhaseObserver) laneOutcome {
 // ("lane-run", from the executing goroutine), barrier time once at the
 // end ("barrier"), and each deadlock-breaker growth as a zero-duration
 // "window-grow"; timing wraps existing work and never alters it.
-func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream, po PhaseObserver, workers int, bufs []*epochBuffer) error {
+func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream, po PhaseObserver, workers int, bufs []*epochBuffer, window uint64) error {
 	cores := 0
 	if raws != nil {
 		cores = len(raws)
@@ -400,7 +406,7 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 	}
 	limits := make([]uint64, cores)
 	for c := range limits {
-		limits[c] = batchWindow
+		limits[c] = window
 	}
 	for _, ln := range lanes {
 		ln.run.limits = limits // shared: window advances reach every lane
@@ -534,12 +540,12 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 			if exps != nil && exps[c] != nil {
 				exps[c].release(floor)
 			}
-			limit := floor + batchWindow
+			limit := floor + window
 			if !stepped && limit <= limits[c] {
 				// Deadlock breaker: mutually-blocked window shapes across
 				// different cores can stall a rotation; widen until a lane
 				// moves. Results are unaffected — limits only pause lanes.
-				limit = limits[c] + batchWindow
+				limit = limits[c] + window
 				if po != nil {
 					po.ObservePhase("window-grow", -1, 0)
 				}
@@ -555,107 +561,6 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 		po.ObservePhase("barrier", -1, barrierDur)
 	}
 	return nil
-}
-
-// runBatchForked is the memory-budget fallback: every lane replays the
-// stream itself from a cheap reader fork — there is no shared window at
-// all, so lanes are fully independent and run on the same bounded worker
-// pool the lockstep path uses. Identical results: lane telemetry is
-// buffered and drained in lane order at the end, and on failure the
-// lowest-indexed failing lane's error is returned with only lanes at or
-// below it having emitted epochs, exactly like the serial path.
-func runBatchForked(ctx context.Context, cfgs []Config, variants []Variant, mix workload.Mix, workers int, bufs []*epochBuffer) ([]*Result, error) {
-	protos := make([]trace.Reader, mix.Cores())
-	for c := range protos {
-		g, err := workload.NewReader(mix, c)
-		if err != nil {
-			return nil, err
-		}
-		protos[c] = g
-	}
-	// Forks mutate the proto readers, so every lane's readers are built
-	// serially up front; only the runs themselves are concurrent.
-	readers := make([][]trace.Reader, len(variants))
-	for i, v := range variants {
-		readers[i] = make([]trace.Reader, cfgs[i].Cores)
-		var err error
-		if v.Alone {
-			readers[i][v.AloneCore], err = workload.ForkReader(protos[v.AloneCore])
-		} else {
-			for c := range readers[i] {
-				if readers[i][c], err = workload.ForkReader(protos[c]); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]*Result, len(variants))
-	runLane := func(i int) error {
-		sys, err := New(cfgs[i], readers[i])
-		if err != nil {
-			return err
-		}
-		res, err := sys.RunContext(ctx)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	}
-	wrap := func(i int, err error) error {
-		return fmt.Errorf("sim: batch lane %d (%s): %w", i, variants[i].Policy.DisplayName(), err)
-	}
-	errLane, firstErr := len(variants), error(nil)
-	if workers <= 1 {
-		for i := range variants {
-			if err := runLane(i); err != nil {
-				errLane, firstErr = i, wrap(i, err)
-				break
-			}
-		}
-	} else {
-		var (
-			mu  sync.Mutex
-			wg  sync.WaitGroup
-			sem = make(chan struct{}, workers)
-		)
-		for i := range variants {
-			mu.Lock()
-			failed := firstErr != nil
-			mu.Unlock()
-			if failed {
-				break // already-dispatched lanes below the error still finish
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := runLane(i); err != nil {
-					mu.Lock()
-					if i < errLane {
-						errLane, firstErr = i, wrap(i, err)
-					}
-					mu.Unlock()
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	for i := 0; i < len(bufs) && i <= errLane; i++ {
-		if bufs[i] != nil {
-			if err := bufs[i].drain(); err != nil && firstErr == nil {
-				errLane, firstErr = i, fmt.Errorf("sim: batch lane %d (%s): telemetry sink: %w", i, variants[i].Policy.DisplayName(), err)
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }
 
 // --- tier-2 expanded stream --------------------------------------------------

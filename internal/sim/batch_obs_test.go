@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestBatchPerLaneTelemetryMatchesSerial(t *testing.T) {
 	}
 	base := cfg
 	base.TelemetrySink = obs.NewNDJSONWriter(&bytes.Buffer{}) // Validate requires a sink
-	if _, err := RunBatch(base, variants, mix); err != nil {
+	if _, err := RunBatchContext(context.Background(), base, variants, mix); err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
 
@@ -41,7 +42,7 @@ func TestBatchPerLaneTelemetryMatchesSerial(t *testing.T) {
 		c.Policy = spec
 		c.TelemetryTag = "cell-" + spec.DisplayName()
 		c.TelemetrySink = obs.NewNDJSONWriter(&serialOut)
-		if _, err := RunMix(c, mix); err != nil {
+		if _, err := RunMixContext(context.Background(), c, mix); err != nil {
 			t.Fatalf("serial %s: %v", spec.DisplayName(), err)
 		}
 		if batchOut[i].Len() == 0 {
@@ -89,14 +90,14 @@ func TestBatchPhaseObserverDeterminism(t *testing.T) {
 		}
 		variants := []Variant{{Policy: batchTestSpecs[0]}, {Policy: batchTestSpecs[2]}}
 
-		plain, err := RunBatch(cfg, variants, mix)
+		plain, err := RunBatchContext(context.Background(), cfg, variants, mix)
 		if err != nil {
 			t.Fatal(err)
 		}
 		obsCfg := cfg
 		log := &phaseLog{}
 		obsCfg.Phases = log
-		observed, err := RunBatch(obsCfg, variants, mix)
+		observed, err := RunBatchContext(context.Background(), obsCfg, variants, mix)
 		if err != nil {
 			t.Fatal(err)
 		}

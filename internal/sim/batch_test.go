@@ -48,14 +48,14 @@ func assertBatchMatchesSerial(t *testing.T, cfg Config, mix workload.Mix) {
 	for i, spec := range batchTestSpecs {
 		variants[i] = Variant{Policy: spec}
 	}
-	batched, err := RunBatch(cfg, variants, mix)
+	batched, err := RunBatchContext(context.Background(), cfg, variants, mix)
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
 	for i, spec := range batchTestSpecs {
 		c := cfg
 		c.Policy = spec
-		serial, err := RunMix(c, mix)
+		serial, err := RunMixContext(context.Background(), c, mix)
 		if err != nil {
 			t.Fatalf("serial %s: %v", spec.DisplayName(), err)
 		}
@@ -120,12 +120,12 @@ func TestBatchAloneLanes(t *testing.T) {
 	for c := 0; c < cfg.Cores; c++ {
 		variants = append(variants, Variant{Policy: base.Policy, Alone: true, AloneCore: c})
 	}
-	batched, err := RunBatch(base, variants, mix)
+	batched, err := RunBatchContext(context.Background(), base, variants, mix)
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
 
-	alone, err := RunAloneN(base, mix, 1)
+	alone, err := RunAloneNContext(context.Background(), base, mix, 1)
 	if err != nil {
 		t.Fatalf("RunAloneN: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestBatchAloneLanes(t *testing.T) {
 			t.Errorf("alone lane core %d IPC = %v, serial %v", c, got, alone[c])
 		}
 	}
-	serial, err := RunMix(base, mix)
+	serial, err := RunMixContext(context.Background(), base, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,26 @@ func TestBatchAloneLanes(t *testing.T) {
 	}
 }
 
-// TestBatchForkFallback forces the generator-fork path via a tiny memory
-// budget and checks results stay identical.
-func TestBatchForkFallback(t *testing.T) {
+// TestBatchShrunkWindowMatchesSerial forces the memory-budget path — a
+// budget too small for the default window shrinks it to one chunk — and
+// checks every lane still equals its serial run, on both sharing tiers.
+func TestBatchShrunkWindowMatchesSerial(t *testing.T) {
 	old := batchMemBudget
 	batchMemBudget = 1
 	defer func() { batchMemBudget = old }()
-	cfg, mix := batchTestConfig(t, 2)
-	assertBatchMatchesSerial(t, cfg, mix)
+	for _, tier2 := range []bool{false, true} {
+		cfg, mix := batchTestConfig(t, 2)
+		if tier2 {
+			cfg.L1Prefetcher, cfg.L2Prefetcher = "none", "none"
+		}
+		if tier2Eligible(cfg) != tier2 {
+			t.Fatalf("tier2Eligible = %v, want %v", !tier2, tier2)
+		}
+		if got := lockstepWindow([]bool{true, true}, tier2); got != streamChunkLen {
+			t.Fatalf("tier2=%v: window under a 1-byte budget = %d, want one chunk (%d)", tier2, got, streamChunkLen)
+		}
+		assertBatchMatchesSerial(t, cfg, mix)
+	}
 }
 
 // TestBatchCancellation checks a cancelled context aborts the batch.
@@ -161,5 +173,18 @@ func TestBatchCancellation(t *testing.T) {
 	_, err := RunBatchContext(ctx, cfg, []Variant{{Policy: policies.Spec{Name: "lru"}}}, mix)
 	if err == nil {
 		t.Fatal("expected cancellation error")
+	}
+}
+
+// TestBatchWindowUnshrunkAtMaxCores: the largest machine the entry points
+// accept (scenario.MaxCores, 256 cores) keeps the default window on the
+// costlier sharing tier, so only a lowered budget ever shrinks it.
+func TestBatchWindowUnshrunkAtMaxCores(t *testing.T) {
+	used := make([]bool, 256)
+	for c := range used {
+		used[c] = true
+	}
+	if got := lockstepWindow(used, true); got != batchWindow {
+		t.Fatalf("256-core tier-2 window = %d, want the default %d", got, batchWindow)
 	}
 }

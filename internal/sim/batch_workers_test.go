@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
@@ -45,7 +46,7 @@ func batchWorkersRun(t *testing.T, cfg Config, mix workload.Mix, workers int) ([
 			TelemetrySink: obs.TagEpochs(sink, i+1, "wsweep"),
 		}
 	}
-	results, err := RunBatch(base, variants, mix)
+	results, err := RunBatchContext(context.Background(), base, variants, mix)
 	if err != nil {
 		t.Fatalf("RunBatch (workers=%d): %v", workers, err)
 	}
@@ -103,9 +104,10 @@ func TestBatchWorkersSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchForkedWorkersDeterminism covers the generator-fork fallback:
-// forked lanes run on the same pool and must stay byte-identical too.
-func TestBatchForkedWorkersDeterminism(t *testing.T) {
+// TestBatchWorkersShrunkWindowDeterminism runs the budget-shrunk window
+// (one chunk per core) at every worker count: the rotation pauses lanes
+// far more often, and results and telemetry must stay byte-identical.
+func TestBatchWorkersShrunkWindowDeterminism(t *testing.T) {
 	old := batchMemBudget
 	batchMemBudget = 1
 	defer func() { batchMemBudget = old }()
@@ -153,7 +155,7 @@ func TestBatchWorkersGrowthPathIdentity(t *testing.T) {
 		for i, spec := range batchTestSpecs {
 			variants[i] = Variant{Policy: spec}
 		}
-		results, err := RunBatch(base, variants, mix)
+		results, err := RunBatchContext(context.Background(), base, variants, mix)
 		if err != nil {
 			t.Fatalf("RunBatch (workers=%d): %v", w, err)
 		}

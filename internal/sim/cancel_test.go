@@ -34,7 +34,7 @@ func TestRunMixContextCancelled(t *testing.T) {
 // A background context must be bit-identical to the ctx-less path.
 func TestRunMixContextBackgroundIdentical(t *testing.T) {
 	cfg, mix := cancelFixture()
-	plain, err := RunMix(cfg, mix)
+	plain, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}

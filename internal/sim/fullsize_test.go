@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/policies"
@@ -24,7 +25,7 @@ func TestFullSizeMachine(t *testing.T) {
 	}
 	// Full-size workload models, unscaled.
 	mix := workload.Homogeneous(workload.AllSPECGAP()[0], 4, 1)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -91,7 +92,7 @@ func goldenRun(t *testing.T, c goldenCell) *Result {
 		t.Fatalf("model %s missing", c.model)
 	}
 	mix := workload.Homogeneous(m.Scale(8, cfg.SetIndexBits()), c.cores, 5)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatalf("%s: %v", goldenKey(c), err)
 	}
@@ -142,7 +143,7 @@ func TestGoldenBatchedMatchesSerial(t *testing.T) {
 			}
 
 			// Tier 1: default prefetchers, against the pinned hashes.
-			batched, err := RunBatch(cfg, variants, mix)
+			batched, err := RunBatchContext(context.Background(), cfg, variants, mix)
 			if err != nil {
 				t.Fatalf("tier-1 batch: %v", err)
 			}
@@ -159,14 +160,14 @@ func TestGoldenBatchedMatchesSerial(t *testing.T) {
 			if !tier2Eligible(t2) {
 				t.Fatal("prefetcher-free config should be tier-2 eligible")
 			}
-			batched, err = RunBatch(t2, variants, mix)
+			batched, err = RunBatchContext(context.Background(), t2, variants, mix)
 			if err != nil {
 				t.Fatalf("tier-2 batch: %v", err)
 			}
 			for i, c := range g.cells {
 				sc := t2
 				sc.Policy = c.policy
-				serial, err := RunMix(sc, mix)
+				serial, err := RunMixContext(context.Background(), sc, mix)
 				if err != nil {
 					t.Fatalf("tier-2 serial %s: %v", c.policy.Key(), err)
 				}

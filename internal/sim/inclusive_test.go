@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/workload"
@@ -26,7 +27,7 @@ func TestInclusiveLLCHurts(t *testing.T) {
 		cfg.Instructions = 120_000
 		cfg.Warmup = 20_000
 		cfg.InclusiveLLC = inclusive
-		res, err := RunMix(cfg, workload.Homogeneous(model, 1, 3))
+		res, err := RunMixContext(context.Background(), cfg, workload.Homogeneous(model, 1, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestInclusiveLLCInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(); err != nil {
+	if _, err := sys.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	inLLC := func(block uint64) bool {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/workload"
@@ -48,7 +49,7 @@ func TestMSHRsThrottleMLP(t *testing.T) {
 		cfg.Instructions = 60_000
 		cfg.Warmup = 10_000
 		cfg.ModelMSHRs = model
-		res, err := RunMix(cfg, mix)
+		res, err := RunMixContext(context.Background(), cfg, mix)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/policies"
@@ -30,7 +31,7 @@ func TestDynamicSamplerTracksPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run()
+	res, err := sys.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestPhasedRunsUnderAllMainPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.DisplayName(), err)
 		}
-		if _, err := sys.Run(); err != nil {
+		if _, err := sys.RunContext(context.Background()); err != nil {
 			t.Fatalf("%s: %v", spec.DisplayName(), err)
 		}
 	}

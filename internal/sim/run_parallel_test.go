@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/workload"
@@ -12,12 +13,12 @@ import (
 func TestRunAloneParallelMatchesSerial(t *testing.T) {
 	cfg := testConfig(4)
 	mix := testMix(t, cfg, "605.mcf_s-665B", 4)
-	serial, err := RunAloneN(cfg, mix, 1)
+	serial, err := RunAloneNContext(context.Background(), cfg, mix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 8} {
-		got, err := RunAloneN(cfg, mix, par)
+		got, err := RunAloneNContext(context.Background(), cfg, mix, par)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -34,11 +35,11 @@ func TestRunAloneParallelMatchesSerial(t *testing.T) {
 func TestRunAloneDefaultMatchesExplicit(t *testing.T) {
 	cfg := testConfig(2)
 	mix := testMix(t, cfg, "641.leela_s-800B", 2)
-	def, err := RunAlone(cfg, mix)
+	def, err := RunAloneContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunAloneN(cfg, mix, 1)
+	serial, err := RunAloneNContext(context.Background(), cfg, mix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +60,12 @@ func TestRunAloneErrorDeterministic(t *testing.T) {
 	// construction.
 	mix.Models[1] = workload.Model{Name: "broken-1"}
 	mix.Models[3] = workload.Model{Name: "broken-3"}
-	_, errSerial := RunAloneN(cfg, mix, 1)
+	_, errSerial := RunAloneNContext(context.Background(), cfg, mix, 1)
 	if errSerial == nil {
 		t.Fatal("serial run accepted a broken model")
 	}
 	for _, par := range []int{2, 8} {
-		_, err := RunAloneN(cfg, mix, par)
+		_, err := RunAloneNContext(context.Background(), cfg, mix, par)
 		if err == nil {
 			t.Fatalf("parallelism %d accepted a broken model", par)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/policies"
@@ -17,7 +18,7 @@ func smokeConfig(cores int) Config {
 func TestSmokeSingleCoreLRU(t *testing.T) {
 	cfg := smokeConfig(1)
 	mix := workload.Homogeneous(workload.SPECModels()[0], 1, 7)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatalf("RunMix: %v", err)
 	}
@@ -44,7 +45,7 @@ func TestSmokeFourCorePolicies(t *testing.T) {
 		t.Run(spec.DisplayName(), func(t *testing.T) {
 			cfg := smokeConfig(4)
 			cfg.Policy = spec
-			res, err := RunMix(cfg, mix)
+			res, err := RunMixContext(context.Background(), cfg, mix)
 			if err != nil {
 				t.Fatalf("RunMix: %v", err)
 			}
@@ -57,11 +58,11 @@ func TestSmokeDeterminism(t *testing.T) {
 	cfg := smokeConfig(2)
 	cfg.Policy = policies.Spec{Name: "mockingjay", Drishti: true}
 	mix := workload.Homogeneous(workload.GAPModels()[0], 2, 3)
-	a, err := RunMix(cfg, mix)
+	a, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatalf("run a: %v", err)
 	}
-	b, err := RunMix(cfg, mix)
+	b, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatalf("run b: %v", err)
 	}

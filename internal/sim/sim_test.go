@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/fabric"
@@ -108,7 +109,7 @@ func TestSliceDistributionUniform(t *testing.T) {
 func TestRunProducesSaneResult(t *testing.T) {
 	cfg := testConfig(2)
 	mix := testMix(t, cfg, "602.gcc_s-734B", 2)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +136,11 @@ func TestDeterminism(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Policy = policies.Spec{Name: "mockingjay", Drishti: true}
 	mix := testMix(t, cfg, "605.mcf_s-1554B", 4)
-	a, err := RunMix(cfg, mix)
+	a, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMix(cfg, mix)
+	b, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestPoliciesDifferentiate(t *testing.T) {
 		cfg.L1Prefetcher = "none"
 		cfg.L2Prefetcher = "none"
 		cfg.Policy = policies.Spec{Name: pol}
-		res, err := RunMix(cfg, workload.Homogeneous(model, 1, 5))
+		res, err := RunMixContext(context.Background(), cfg, workload.Homogeneous(model, 1, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestPoliciesDifferentiate(t *testing.T) {
 func TestWritebacksReachDRAM(t *testing.T) {
 	cfg := testConfig(2)
 	mix := testMix(t, cfg, "619.lbm_s-2676B", 2) // write-heavy streaming
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestIdleCoresAllowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run()
+	res, err := sys.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestNoActiveCoresRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(); err == nil {
+	if _, err := sys.RunContext(context.Background()); err == nil {
 		t.Fatal("all-idle run accepted")
 	}
 }
@@ -229,14 +230,14 @@ func TestNoActiveCoresRejected(t *testing.T) {
 func TestRunAloneMatchesMix(t *testing.T) {
 	cfg := testConfig(2)
 	mix := testMix(t, cfg, "641.leela_s-800B", 2)
-	alone, err := RunAlone(cfg, mix)
+	alone, err := RunAloneContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(alone) != 2 {
 		t.Fatalf("alone IPCs %v", alone)
 	}
-	together, err := RunMix(cfg, mix)
+	together, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +256,11 @@ func TestRunAloneMatchesMix(t *testing.T) {
 func TestRunWithMetrics(t *testing.T) {
 	cfg := testConfig(2)
 	mix := testMix(t, cfg, "641.leela_s-800B", 2)
-	alone, err := RunAlone(cfg, mix)
+	alone, err := RunAloneContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunWithMetrics(cfg, mix, alone)
+	out, err := RunWithMetricsContext(context.Background(), cfg, mix, alone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestPCSliceTracking(t *testing.T) {
 	cfg := testConfig(8)
 	cfg.TrackPCSlices = true
 	mix := testMix(t, cfg, "pr-twitter", 8)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestDrishtiUsesNocstar(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Policy = policies.Spec{Name: "mockingjay", Drishti: true}
 	mix := testMix(t, cfg, "605.mcf_s-1554B", 4)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestDrishtiUsesNocstar(t *testing.T) {
 	}
 	base := cfg
 	base.Policy = policies.Spec{Name: "mockingjay"}
-	bres, err := RunMix(base, mix)
+	bres, err := RunMixContext(context.Background(), base, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestCentralizedBankConcentration(t *testing.T) {
 		FixedPredLatency: 1,
 	}
 	mix := testMix(t, cfg, "602.gcc_s-734B", 8)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestCentralizedBankConcentration(t *testing.T) {
 	}
 	pcg := cfg
 	pcg.Policy = policies.Spec{Name: "mockingjay", Placement: policies.PlacementPtr(fabric.PerCoreGlobal), FixedPredLatency: 1}
-	res2, err := RunMix(pcg, mix)
+	res2, err := RunMixContext(context.Background(), pcg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestPrefetchersRun(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.L2Prefetcher = "spp"
 	mix := testMix(t, cfg, "603.bwaves_s-3699B", 2)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestPrefetchersRun(t *testing.T) {
 func TestMixCoreCountMismatch(t *testing.T) {
 	cfg := testConfig(4)
 	mix := testMix(t, cfg, "602.gcc_s-734B", 2)
-	if _, err := RunMix(cfg, mix); err == nil {
+	if _, err := RunMixContext(context.Background(), cfg, mix); err == nil {
 		t.Fatal("core-count mismatch accepted")
 	}
 }
@@ -373,7 +374,7 @@ func TestFixedPredLatencySlowdown(t *testing.T) {
 		cfg := testConfig(4)
 		cfg.Instructions = 60_000
 		cfg.Policy = policies.Spec{Name: "mockingjay", Drishti: true, FixedPredLatency: lat}
-		res, err := RunMix(cfg, mix)
+		res, err := RunMixContext(context.Background(), cfg, mix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +391,7 @@ func TestDSCStatsSurfaceInResult(t *testing.T) {
 	cfg.Instructions = 60_000
 	cfg.Policy = policies.Spec{Name: "mockingjay", Drishti: true}
 	mix := testMix(t, cfg, "605.mcf_s-1554B", 2)
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +400,7 @@ func TestDSCStatsSurfaceInResult(t *testing.T) {
 	}
 	base := cfg
 	base.Policy = policies.Spec{Name: "mockingjay"}
-	bres, err := RunMix(base, mix)
+	bres, err := RunMixContext(context.Background(), base, mix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 	cfg := telemetryConfig(cores)
 	mix := testMix(t, cfg, "605.mcf_s-1554B", cores)
 
-	plain, err := RunMix(cfg, mix)
+	plain, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 	tcfg := cfg
 	tcfg.TelemetryEpoch = 2000
 	tcfg.TelemetrySink = sink
-	traced, err := RunMix(tcfg, mix)
+	traced, err := RunMixContext(context.Background(), tcfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestTelemetryEpochContent(t *testing.T) {
 	cfg.TelemetrySink = sink
 	mix := testMix(t, cfg, "605.mcf_s-1554B", cores)
 
-	res, err := RunMix(cfg, mix)
+	res, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}

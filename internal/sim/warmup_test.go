@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"drishti/internal/workload"
@@ -18,13 +19,13 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 
 	withWarm := base
 	withWarm.Warmup = 30_000
-	resWarm, err := RunMix(withWarm, mix)
+	resWarm, err := RunMixContext(context.Background(), withWarm, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noWarm := base
 	noWarm.Warmup = 0
-	resCold, err := RunMix(noWarm, mix)
+	resCold, err := RunMixContext(context.Background(), noWarm, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestWarmupDeterministicWithPolicyState(t *testing.T) {
 	cfg.Policy.Name = "hawkeye"
 	mix := workload.Homogeneous(
 		workload.AllSPECGAP()[2].Scale(8, cfg.SetIndexBits()), 2, 4)
-	a, err := RunMix(cfg, mix)
+	a, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMix(cfg, mix)
+	b, err := RunMixContext(context.Background(), cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
