@@ -61,7 +61,7 @@ bench:
 # bench-quick: run the hot-loop benchmarks and record their medians as the
 # committed baseline BENCH_sim.json (see scripts/benchcmp).
 bench-quick:
-	$(GO) test -run '^$$' -bench $(BENCH_QUICK) -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . \
+	$(GO) test -run '^$$' -bench $(BENCH_QUICK) -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . \
 		| $(GO) run ./scripts/benchcmp -record -out BENCH_sim.json
 
 # bench-lanes: the lane-worker scaling benchmark on its own, at -benchtime
@@ -73,10 +73,11 @@ bench-lanes:
 
 # bench-gate: same benchmarks, compared against the committed baseline;
 # fails on a throughput regression beyond BENCH_TOLERANCE (default 10%).
-# The raw benchmark output lands in BENCH_gate.txt so CI can upload it as
-# an artifact even when the gate fails.
+# The raw benchmark output, with -benchmem's B/op and allocs/op columns
+# (the gate itself reads only ns/op and instr/s), lands in BENCH_gate.txt
+# so CI can upload it as an artifact even when the gate fails.
 bench-gate:
-	$(GO) test -run '^$$' -bench $(BENCH_QUICK) -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . > BENCH_gate.txt
+	$(GO) test -run '^$$' -bench $(BENCH_QUICK) -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . > BENCH_gate.txt
 	$(GO) run ./scripts/benchcmp -check -baseline BENCH_sim.json -tolerance $(BENCH_TOLERANCE) < BENCH_gate.txt
 
 # scenarios: validate every committed scenario spec (parse, strict-decode,

@@ -99,8 +99,10 @@ func main() {
 	if *scenarioF != "" {
 		// -instr/-warmup/-seed explicitly set on the command line override
 		// the spec for a quick lower-fidelity pass; everything else comes
-		// from the file.
+		// from the file. -lane-workers sizes each run's lane pool, which
+		// never changes results.
 		override := func(cfg *sim.Config) {
+			cfg.LaneWorkers = *laneWkrs
 			flag.Visit(func(f *flag.Flag) {
 				switch f.Name {
 				case "instr":
@@ -301,22 +303,32 @@ func runScenario(w io.Writer, path string, check, jsonOut bool, override func(*s
 		out.Policies = append(out.Policies, p.DisplayName())
 	}
 	if !check {
+		// One lockstep batch per run: the policies are its lanes and share
+		// a single generation of the run's access streams. Each lane's
+		// result is bit-identical to running that policy on its own.
+		variants := make([]sim.Variant, len(c.Policies))
+		for i, p := range c.Policies {
+			variants[i] = sim.Variant{Policy: p}
+		}
 		for _, r := range c.Runs {
 			for _, p := range c.Policies {
 				cfg := r.Cfg
 				cfg.Policy = p
 				log.Info("running", "run", obs.RunID(cfg.Key(), r.Mix.Key()),
 					"scenarioRun", r.Name, "policy", p.DisplayName(), "mix", r.Mix.Name)
-				res, err := sim.RunMixContext(context.Background(), cfg, r.Mix)
-				if err != nil {
-					return fmt.Errorf("scenario run %s policy %s: %w", r.Name, p.DisplayName(), err)
-				}
+			}
+			results, err := sim.RunBatchContext(context.Background(), r.Cfg, variants, r.Mix)
+			if err != nil {
+				return fmt.Errorf("scenario run %s: %w", r.Name, err)
+			}
+			for i, res := range results {
+				policy := c.Policies[i].DisplayName()
 				if jsonOut {
-					out.Results = append(out.Results, scenarioCell{Run: r.Name, Policy: p.DisplayName(), Result: res})
+					out.Results = append(out.Results, scenarioCell{Run: r.Name, Policy: policy, Result: res})
 					continue
 				}
-				fmt.Fprintf(w, "== scenario %s  run=%s  policy=%s\n", c.Spec.Name, r.Name, p.DisplayName())
-				report(cfg, r.Mix, res)
+				fmt.Fprintf(w, "== scenario %s  run=%s  policy=%s\n", c.Spec.Name, r.Name, policy)
+				report(r.Cfg, r.Mix, res)
 				fmt.Fprintln(w)
 			}
 		}

@@ -51,6 +51,9 @@ type Config struct {
 	Ways int
 }
 
+// maxWays is the largest associativity Validate accepts.
+const maxWays = 1 << 15
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Ways <= 0 {
@@ -59,8 +62,10 @@ func (c Config) Validate() error {
 	if c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache %q: sets must be a power of two (got %d)", c.Name, c.Sets)
 	}
-	if c.Ways > 1<<16 {
-		return fmt.Errorf("cache %q: at most %d ways supported (got %d)", c.Name, 1<<16, c.Ways)
+	// repl.LRU's 16-bit per-set stamps need the bound: a renumbered row
+	// must leave its touch counter headroom.
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache %q: at most %d ways supported (got %d)", c.Name, maxWays, c.Ways)
 	}
 	return nil
 }

@@ -22,14 +22,23 @@ func load(block uint64) repl.Access {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Sets: 3, Ways: 4}).Validate(); err == nil {
-		t.Fatal("non-power-of-two sets accepted")
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"valid", Config{Sets: 8, Ways: 2}, true},
+		{"non-power-of-two sets", Config{Sets: 3, Ways: 4}, false},
+		{"zero sets", Config{Sets: 0, Ways: 4}, false},
+		{"zero ways", Config{Sets: 8, Ways: 0}, false},
+		// repl.LRU's 16-bit stamps rely on this bound (see maxWays).
+		{"max ways", Config{Sets: 1, Ways: 1 << 15}, true},
+		{"too many ways", Config{Sets: 1, Ways: 1<<15 + 1}, false},
 	}
-	if err := (Config{Sets: 0, Ways: 4}).Validate(); err == nil {
-		t.Fatal("zero sets accepted")
-	}
-	if err := (Config{Sets: 8, Ways: 2}).Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for _, c := range cases {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", c.name, c.cfg, err, c.ok)
+		}
 	}
 	if _, err := New(Config{Sets: 8, Ways: 2}, nil); err == nil {
 		t.Fatal("nil policy accepted")

@@ -10,6 +10,7 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
 
 	"drishti/internal/mem"
 	"drishti/internal/oatable"
@@ -45,8 +46,16 @@ func New(name string, seed uint64) (Prefetcher, error) {
 	case "gaze":
 		return NewGazeLite(), nil
 	default:
-		return nil, fmt.Errorf("prefetch: unknown prefetcher %q", name)
+		return nil, Validate(name)
 	}
+}
+
+// Validate reports whether New accepts name, without building anything.
+func Validate(name string) error {
+	if name == "" || slices.Contains(Names(), name) {
+		return nil
+	}
+	return fmt.Errorf("prefetch: unknown prefetcher %q", name)
 }
 
 // Names lists the available prefetcher names.

@@ -5,7 +5,13 @@
 // interface.
 package repl
 
-import "drishti/internal/mem"
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"drishti/internal/mem"
+)
 
 // Bypass is the sentinel Victim result meaning "do not cache this fill".
 const Bypass = -1
@@ -54,18 +60,24 @@ type FillLatencier interface {
 
 // --- LRU -------------------------------------------------------------------
 
-// LRU is true least-recently-used replacement via per-line stamps. Stamps
-// live in one flat sets×ways array so a Victim scan touches one cache line
-// run instead of chasing a row pointer.
+// LRU is true least-recently-used replacement via per-set recency stamps.
+// Each set owns one row of ways+1 uint16s in a flat array: slot 0 is the
+// set's touch counter and slots 1…ways hold the ways' stamps (0 = never
+// touched, or demoted to the LRU position). A touch bumps the counter and
+// stamps the way with it. When the counter reaches 65535 the set's nonzero
+// stamps are first renumbered 1…k in their existing order, which leaves at
+// least 65535-k ≥ 32767 touches of headroom (cache.Config caps ways at
+// 1<<15). Victim compares stamps only within one set, so renumbering never
+// changes a decision.
 type LRU struct {
 	ways   int
-	stamps []uint64
-	clock  uint64
+	stride int // ways + 1: one row per set
+	stamps []uint16
 }
 
 // NewLRU builds an LRU policy for a sets×ways cache.
 func NewLRU(sets, ways int) *LRU {
-	return &LRU{ways: ways, stamps: make([]uint64, sets*ways)}
+	return &LRU{ways: ways, stride: ways + 1, stamps: make([]uint16, sets*(ways+1))}
 }
 
 // Name implements Policy.
@@ -80,14 +92,44 @@ func (l *LRU) OnFill(set, way int, _ Access) { l.touch(set, way) }
 // OnEvict implements Policy.
 func (l *LRU) OnEvict(int, int, uint64) {}
 
+// Demote moves way to the LRU position of set: stamp 0, the next victim
+// unless a lower way of the set also holds stamp 0.
+func (l *LRU) Demote(set, way int) { l.stamps[set*l.stride+1+way] = 0 }
+
+// touch stamps way as the most recent in set.
 func (l *LRU) touch(set, way int) {
-	l.clock++
-	l.stamps[set*l.ways+way] = l.clock
+	row := l.stamps[set*l.stride : (set+1)*l.stride]
+	if row[0] == math.MaxUint16 {
+		renumberLRU(row)
+	}
+	row[0]++
+	row[1+way] = row[0]
 }
 
-// Victim implements Policy: the way with the oldest stamp.
+// renumberLRU rewrites one set's row: the nonzero stamps in row[1:] become
+// 1…k, keeping their order, zero stamps stay zero, and the counter in
+// row[0] restarts at k. Nonzero stamps in a row are distinct (each came
+// from a distinct counter value), so the order is total.
+func renumberLRU(row []uint16) {
+	stamps := row[1:]
+	live := make([]int, 0, len(stamps))
+	for w, st := range stamps {
+		if st != 0 {
+			live = append(live, w)
+		}
+	}
+	slices.SortFunc(live, func(a, b int) int { return cmp.Compare(stamps[a], stamps[b]) })
+	for i, w := range live {
+		stamps[w] = uint16(i + 1)
+	}
+	row[0] = uint16(len(live))
+}
+
+// Victim implements Policy: the way with the oldest stamp, the lowest such
+// way on a tie.
 func (l *LRU) Victim(set int, _ Access) int {
-	row := l.stamps[set*l.ways : set*l.ways+l.ways]
+	base := set*l.stride + 1
+	row := l.stamps[base : base+l.ways]
 	best, bestStamp := 0, row[0]
 	for w := 1; w < len(row); w++ {
 		if row[w] < bestStamp {
@@ -311,6 +353,6 @@ func (d *DIP) OnFill(set, way int, a Access) {
 		d.lru.OnFill(set, way, a)
 		return
 	}
-	// Bimodal: leave the fill at the LRU position (stamp 0 → evict next).
-	d.lru.stamps[set*d.lru.ways+way] = 0
+	// Bimodal: leave the fill at the LRU position (evict next).
+	d.lru.Demote(set, way)
 }

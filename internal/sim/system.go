@@ -125,35 +125,52 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 		return nil, err
 	}
 
-	// Cores and private caches.
+	// Cores and private caches, for active cores only: an idle core (nil
+	// reader) never steps, so it gets no CPU model, L1/L2 or prefetchers.
+	// The shared configuration is validated once up front, under core 0's
+	// cache names, so New returns the same errors however many cores are
+	// idle. Every core still draws its two prefetcher seeds, so the
+	// generator state later draws see does not depend on which cores idle.
+	l1Cfg := cache.Config{Name: "l1d-0", Sets: cfg.l1Sets(), Ways: cfg.L1Ways}
+	l2Cfg := cache.Config{Name: "l2-0", Sets: cfg.l2Sets(), Ways: cfg.L2Ways}
+	for _, err := range []error{
+		cfg.cpuConfig().Validate(),
+		l1Cfg.Validate(),
+		l2Cfg.Validate(),
+		prefetch.Validate(cfg.L1Prefetcher),
+		prefetch.Validate(cfg.L2Prefetcher),
+	} {
+		if err != nil {
+			return nil, err
+		}
+	}
+	s.cores = make([]*cpu.Core, cfg.Cores)
+	s.l1 = make([]*cache.Cache, cfg.Cores)
+	s.l2 = make([]*cache.Cache, cfg.Cores)
+	s.l1pf = make([]prefetch.Prefetcher, cfg.Cores)
+	s.l2pf = make([]prefetch.Prefetcher, cfg.Cores)
 	for c := 0; c < cfg.Cores; c++ {
-		core, err := cpu.New(c, cfg.cpuConfig())
-		if err != nil {
+		seed1, seed2 := rnd.Uint64(), rnd.Uint64()
+		if readers[c] == nil {
+			continue
+		}
+		if s.cores[c], err = cpu.New(c, cfg.cpuConfig()); err != nil {
 			return nil, err
 		}
-		s.cores = append(s.cores, core)
-		l1, err := cache.New(cache.Config{Name: fmt.Sprintf("l1d-%d", c), Sets: cfg.l1Sets(), Ways: cfg.L1Ways},
-			repl.NewLRU(cfg.l1Sets(), cfg.L1Ways))
-		if err != nil {
+		l1Cfg.Name = fmt.Sprintf("l1d-%d", c)
+		if s.l1[c], err = cache.New(l1Cfg, repl.NewLRU(l1Cfg.Sets, l1Cfg.Ways)); err != nil {
 			return nil, err
 		}
-		s.l1 = append(s.l1, l1)
-		l2, err := cache.New(cache.Config{Name: fmt.Sprintf("l2-%d", c), Sets: cfg.l2Sets(), Ways: cfg.L2Ways},
-			repl.NewSRRIP(cfg.l2Sets(), cfg.L2Ways))
-		if err != nil {
+		l2Cfg.Name = fmt.Sprintf("l2-%d", c)
+		if s.l2[c], err = cache.New(l2Cfg, repl.NewSRRIP(l2Cfg.Sets, l2Cfg.Ways)); err != nil {
 			return nil, err
 		}
-		s.l2 = append(s.l2, l2)
-		p1, err := prefetch.New(cfg.L1Prefetcher, rnd.Uint64())
-		if err != nil {
+		if s.l1pf[c], err = prefetch.New(cfg.L1Prefetcher, seed1); err != nil {
 			return nil, err
 		}
-		p2, err := prefetch.New(cfg.L2Prefetcher, rnd.Uint64())
-		if err != nil {
+		if s.l2pf[c], err = prefetch.New(cfg.L2Prefetcher, seed2); err != nil {
 			return nil, err
 		}
-		s.l1pf = append(s.l1pf, p1)
-		s.l2pf = append(s.l2pf, p2)
 	}
 
 	// Sliced LLC: one slice per core.
@@ -325,12 +342,16 @@ func (s *System) accessLLC(coreID int, a repl.Access, now uint64) uint32 {
 }
 
 // retireLLCEviction finishes an LLC eviction: dirty data goes to DRAM, and
-// under an inclusive LLC the line is back-invalidated from every private
-// cache (any dirty private copy must also drain).
+// under an inclusive LLC the line is back-invalidated from every active
+// core's private caches (any dirty private copy must also drain; idle
+// cores have none).
 func (s *System) retireLLCEviction(ev cache.Evicted, now uint64) {
 	dirty := ev.Dirty
 	if s.cfg.InclusiveLLC {
 		for c := 0; c < s.cfg.Cores; c++ {
+			if s.l1[c] == nil {
+				continue
+			}
 			if d, present := s.l1[c].Invalidate(ev.Block); present && d {
 				dirty = true
 			}

@@ -7,10 +7,11 @@ package workload
 // stream weights) are shared, and only the mutable sampler state (the
 // random streams, stream cursors, and Zipf memo tables) is copied.
 //
-// Batched runs use Fork when the shared-window materialization would
-// exceed the memory budget: each lane gets a fork and replays the stream
-// itself. The fork property test asserts byte-identity against a fresh
-// generator advanced to the same position.
+// No simulation path forks today: batched runs that would exceed their
+// memory budget shrink the shared lockstep window instead. Fork is kept as
+// the stream checkpoint for the planned warm-state checkpoint/fork of
+// simulator state (ROADMAP.md). The fork property test asserts
+// byte-identity against a fresh generator advanced to the same position.
 func (g *Generator) Fork() *Generator {
 	ng := &Generator{
 		model:  g.model,

@@ -88,9 +88,10 @@ func NewReader(m Mix, c int) (trace.Reader, error) {
 }
 
 // ForkReader checkpoints a reader built by NewReader: the fork and the
-// original emit identical future streams and never affect each other. The
-// batched fallback path (per-lane stream replay) forks one prototype
-// reader per core instead of assuming every core is a plain Generator.
+// original emit identical future streams and never affect each other. It
+// has no simulation caller today; it is kept, with the generators' Fork
+// methods, as the stream checkpoint for the planned warm-state
+// checkpoint/fork of simulator state (ROADMAP.md).
 func ForkReader(r trace.Reader) (trace.Reader, error) {
 	switch g := r.(type) {
 	case *Generator:

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -102,16 +103,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchcmp: %s: %v\n", *baseline, err)
 		os.Exit(2)
 	}
+	if !compare(os.Stdout, fresh, base.Benchmarks, *tolerance) {
+		fmt.Fprintf(os.Stderr, "benchcmp: throughput regressed more than %.0f%% against %s\n", 100**tolerance, *baseline)
+		os.Exit(1)
+	}
+}
+
+// compare prints one verdict line per benchmark of fresh against base and
+// reports whether none regressed by more than tolerance. Throughput
+// (instr/s) is compared when both sides have it, ns/op otherwise.
+// Benchmarks present on only one side are listed but never fail.
+func compare(w io.Writer, fresh, base []Result, tolerance float64) bool {
 	baseBy := map[string]Result{}
-	for _, r := range base.Benchmarks {
+	for _, r := range base {
 		baseBy[r.Name] = r
 	}
-
 	failed := false
 	for _, r := range fresh {
 		b, ok := baseBy[r.Name]
 		if !ok {
-			fmt.Printf("new      %-40s (no baseline, skipped)\n", r.Name)
+			fmt.Fprintf(w, "new      %-40s (no baseline, skipped)\n", r.Name)
 			continue
 		}
 		delete(baseBy, r.Name)
@@ -125,24 +136,21 @@ func main() {
 			detail = fmt.Sprintf("%.0f → %.0f ns/op", b.NsPerOp, r.NsPerOp)
 		}
 		status := "ok      "
-		if ratio < -*tolerance {
+		if ratio < -tolerance {
 			status = "REGRESSED"
 			failed = true
 		}
-		fmt.Printf("%s %-40s %+6.1f%%  (%s)\n", status, r.Name, 100*ratio, detail)
+		fmt.Fprintf(w, "%s %-40s %+6.1f%%  (%s)\n", status, r.Name, 100*ratio, detail)
 	}
 	for name := range baseBy {
-		fmt.Printf("missing  %-40s (in baseline, not in this run)\n", name)
+		fmt.Fprintf(w, "missing  %-40s (in baseline, not in this run)\n", name)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchcmp: throughput regressed more than %.0f%% against %s\n", 100**tolerance, *baseline)
-		os.Exit(1)
-	}
+	return !failed
 }
 
 // parse extracts benchmark result lines from `go test -bench` output and
 // reduces repeated runs of the same benchmark to their medians.
-func parse(f *os.File) ([]Result, error) {
+func parse(f io.Reader) ([]Result, error) {
 	type samples struct {
 		ns    []float64
 		instr []float64
