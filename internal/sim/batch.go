@@ -37,26 +37,36 @@ import (
 //     simulate only their own lane-varying state: core timing, MSHRs,
 //     LLC slices, policy/predictor stack, NoCs, and DRAM.
 //
-// Each lane is a complete System driven by its own resumable runner in
-// rotation quanta. A lane's step sequence is exactly what its solo run
-// would execute, just time-sliced, so batched results are bit-identical
-// to unbatched runs (asserted per lane by the golden tests). Per-core
-// window limits bound how far lanes may drift apart so the shared window
-// stays small; chunks behind the slowest lane are recycled.
+// Each lane is a complete System driven by its own resumable runner. The
+// batch advances in rotations: in each one, every unfinished lane runs
+// until it finishes or until its next scheduled core would read past the
+// shared window (lane-major: one lane runs to its window edge before the
+// pool hands out the next). A lane's step sequence is exactly what its
+// solo run would execute, just paused at window edges, so batched results
+// are bit-identical to unbatched runs (asserted per lane by the golden
+// tests). Per-core window limits bound how far lanes may drift apart so
+// the shared window stays small; chunks behind the slowest lane are
+// recycled at each barrier.
+//
+// A lane's System is built the first time the lane is scheduled, and
+// dropped — keeping only its Result — as soon as the lane finishes. A
+// batch whose run fits the window finishes every lane in the first
+// rotation and so holds at most LaneWorkers machines at once instead of
+// K; a longer run builds every lane in the first rotation and frees each
+// as it finishes.
 //
 // Between barriers the lanes are independent: all lane-varying state
 // (cores, MSHRs, LLC slices, policy/predictor stack, NoCs, DRAM) is
 // private per lane, and the shared stream window is made strictly
 // read-only for the rotation by materializing it up to the window limits
 // at the barrier (Stream.Ensure / expStream.ensure). runLockstep
-// therefore fans the rotation's lane quanta onto a bounded worker pool
+// therefore fans the rotation's lanes onto a bounded worker pool
 // (Config.LaneWorkers, default min(K, GOMAXPROCS)) and merges outcomes —
 // progress, completion, errors, buffered telemetry — in deterministic
 // lane order at the barrier, so results and telemetry bytes are identical
 // at every worker count (the workers-sweep determinism test pins this).
-
-// batchQuantum is how many steps a lane runs per rotation.
-const batchQuantum = 8192
+// On a shared telemetry sink each lane's epochs of one rotation arrive
+// contiguously, lane after lane.
 
 // batchWindow is the per-core record skew allowed between the fastest and
 // slowest lane before the fast lane pauses (grown on demand if a rotation
@@ -150,11 +160,16 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 	if mix.Cores() != base.Cores {
 		return nil, fmt.Errorf("sim: mix %s targets %d cores, config has %d", mix.Name, mix.Cores(), base.Cores)
 	}
-	cfgs := make([]Config, len(variants))
+	lanes := make([]*batchLane, len(variants))
 	used := make([]bool, base.Cores) // cores any lane activates
+	var allCores []int               // a mix lane's active cores
+	for c := 0; c < base.Cores; c++ {
+		allCores = append(allCores, c)
+	}
 	for i, v := range variants {
 		cfg := base
 		cfg.Policy = v.Policy
+		cores := allCores
 		if v.Alone {
 			if v.AloneCore < 0 || v.AloneCore >= base.Cores {
 				return nil, fmt.Errorf("sim: batch variant %d: alone core %d out of range", i, v.AloneCore)
@@ -163,6 +178,7 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 			// (mirrors runAloneCore).
 			cfg.TelemetryEpoch, cfg.TelemetrySink, cfg.TelemetryTag = 0, nil, ""
 			used[v.AloneCore] = true
+			cores = []int{v.AloneCore}
 		} else {
 			if v.TelemetrySink != nil {
 				cfg.TelemetrySink = v.TelemetrySink
@@ -177,7 +193,7 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 				used[c] = true
 			}
 		}
-		cfgs[i] = cfg
+		lanes[i] = &batchLane{cfg: cfg, cores: cores}
 	}
 	if err := mix.Validate(); err != nil {
 		return nil, err
@@ -189,10 +205,10 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 	// every worker count. Alone lanes have telemetry off (bufs[i] nil).
 	workers := base.laneWorkers(len(variants))
 	bufs := make([]*epochBuffer, len(variants))
-	for i := range cfgs {
-		if cfgs[i].TelemetryEpoch > 0 && cfgs[i].TelemetrySink != nil {
-			bufs[i] = &epochBuffer{next: cfgs[i].TelemetrySink}
-			cfgs[i].TelemetrySink = bufs[i]
+	for i, ln := range lanes {
+		if ln.cfg.TelemetryEpoch > 0 && ln.cfg.TelemetrySink != nil {
+			bufs[i] = &epochBuffer{next: ln.cfg.TelemetrySink}
+			ln.cfg.TelemetrySink = bufs[i]
 		}
 	}
 
@@ -234,32 +250,24 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 		po.ObservePhase("workload-gen", -1, time.Since(genStart))
 	}
 
-	lanes := make([]*batchLane, len(variants))
-	for i, v := range variants {
-		ln, err := newBatchLane(ctx, cfgs[i], v, raws, exps)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d (%s): %w", i, v.Policy.DisplayName(), err)
-		}
-		lanes[i] = ln
-	}
 	window := lockstepWindow(used, tier2)
-	if err := runLockstep(lanes, raws, exps, po, workers, bufs, window); err != nil {
+	if err := runLockstep(ctx, lanes, raws, exps, po, workers, bufs, window); err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(lanes))
 	for i, ln := range lanes {
-		res, err := ln.sys.finishRun()
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d (%s): %w", i, variants[i].Policy.DisplayName(), err)
+		if ln.finishErr != nil {
+			return nil, fmt.Errorf("sim: batch lane %d (%s): %w", i, ln.cfg.Policy.DisplayName(), ln.finishErr)
 		}
 		if bufs[i] != nil {
-			// finishRun's final flush landed in the buffer; forward it (and
-			// surface any sink error) now, still in lane order.
+			// The barriers forwarded every epoch, finishRun's final flush
+			// included; a sink error stays sticky in the buffer and
+			// surfaces here, still in lane order.
 			if err := bufs[i].drain(); err != nil {
-				return nil, fmt.Errorf("sim: batch lane %d (%s): telemetry sink: %w", i, variants[i].Policy.DisplayName(), err)
+				return nil, fmt.Errorf("sim: batch lane %d (%s): telemetry sink: %w", i, ln.cfg.Policy.DisplayName(), err)
 			}
 		}
-		out[i] = res
+		out[i] = ln.res
 	}
 	return out, nil
 }
@@ -297,14 +305,23 @@ func lockstepWindow(used []bool, tier2 bool) uint64 {
 // streamChunkLen mirrors workload's default chunk size for the estimate.
 const streamChunkLen = 2048
 
-// batchLane is one variant's System plus its paused runner and stream
-// positions.
+// batchLane is one variant's lane. While it runs it holds its System and
+// paused runner; both are built when the lane is first scheduled and
+// dropped once it finishes, leaving only its Result.
 type batchLane struct {
-	sys   *System
-	run   *runner
-	cores []int // active core IDs
-	done  bool
+	cfg       Config
+	cores     []int // active core IDs
+	sys       *System
+	run       *runner
+	res       *Result
+	finishErr error // finishRun's error, reported in lane order after the run
+	done      bool
 }
+
+// laneLive, when non-nil, is told of every lane machine built (+1) and
+// released (-1). Tests use it to bound how many machines a batch holds at
+// once; it may be called from concurrent lane workers.
+var laneLive func(delta int)
 
 // expMarker marks a core active in a tier-2 lane; the expanded step path
 // never reads it.
@@ -313,15 +330,15 @@ type expMarker struct{}
 func (expMarker) Next() (trace.Rec, bool) { panic("sim: tier-2 batch lane read its raw reader") }
 func (expMarker) Reset()                  { panic("sim: tier-2 batch lane reset its raw reader") }
 
-func newBatchLane(ctx context.Context, cfg Config, v Variant, raws []*workload.Stream, exps []*expStream) (*batchLane, error) {
-	readers := make([]trace.Reader, cfg.Cores)
+// start builds the lane's System over the shared streams and its runner,
+// gated by the batch's window limits.
+func (ln *batchLane) start(ctx context.Context, raws []*workload.Stream, exps []*expStream, limits []uint64) error {
+	readers := make([]trace.Reader, ln.cfg.Cores)
 	var expCursors []*expCursor
 	if exps != nil {
-		expCursors = make([]*expCursor, cfg.Cores)
+		expCursors = make([]*expCursor, ln.cfg.Cores)
 	}
-	var cores []int
-	activate := func(c int) {
-		cores = append(cores, c)
+	for _, c := range ln.cores {
 		if exps != nil {
 			readers[c] = expMarker{}
 			expCursors[c] = &expCursor{stream: exps[c]}
@@ -329,27 +346,26 @@ func newBatchLane(ctx context.Context, cfg Config, v Variant, raws []*workload.S
 			readers[c] = raws[c].Cursor()
 		}
 	}
-	if v.Alone {
-		activate(v.AloneCore)
-	} else {
-		for c := 0; c < cfg.Cores; c++ {
-			activate(c)
-		}
-	}
-	sys, err := New(cfg, readers)
+	sys, err := New(ln.cfg, readers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sys.expCursors = expCursors
-	run, err := sys.newRunner(ctx) // window limits installed by runLockstep
+	run, err := sys.newRunner(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &batchLane{sys: sys, run: run, cores: cores}, nil
+	run.limits = limits // shared: window advances reach every lane
+	run.consumed = make([]uint64, len(limits))
+	ln.sys, ln.run = sys, run
+	if laneLive != nil {
+		laneLive(1)
+	}
+	return nil
 }
 
 // laneOutcome is one lane's rotation result. Outcomes are produced by
-// whichever goroutine ran the quantum and merged by the driver in lane
+// whichever goroutine ran the lane and merged by the driver in lane
 // order, which is what keeps the rotation deterministic.
 type laneOutcome struct {
 	stepped bool
@@ -357,47 +373,63 @@ type laneOutcome struct {
 	err     error
 }
 
-// quantum runs one rotation quantum of lane i. With po non-nil the wall
-// time is reported as "lane-run" from the calling goroutine — a pool
-// worker when lanes run concurrently (see the PhaseObserver contract).
-func (ln *batchLane) quantum(i int, po PhaseObserver) laneOutcome {
+// advance runs lane i until it finishes or its next scheduled core would
+// read past the window. A finished lane collects its Result (finishRun's
+// final telemetry flush lands in the lane's buffer) and releases its
+// machine. With po non-nil the run's wall time is reported as "lane-run"
+// from the calling goroutine — a pool worker when lanes run concurrently
+// (see the PhaseObserver contract).
+func (ln *batchLane) advance(i int, po PhaseObserver) laneOutcome {
 	var t0 time.Time
 	if po != nil {
 		t0 = time.Now()
 	}
 	before := ln.run.guard
-	done, _, err := ln.run.run(batchQuantum)
+	done, err := ln.run.run()
 	if po != nil {
 		po.ObservePhase("lane-run", i, time.Since(t0))
 	}
 	if err != nil {
 		return laneOutcome{err: fmt.Errorf("sim: batch lane %d: %w", i, err)}
 	}
-	return laneOutcome{stepped: ln.run.guard != before, done: done}
+	stepped := ln.run.guard != before
+	if done {
+		ln.res, ln.finishErr = ln.sys.finishRun()
+		ln.sys, ln.run = nil, nil
+		if laneLive != nil {
+			laneLive(-1)
+		}
+	}
+	return laneOutcome{stepped: stepped, done: done}
 }
 
-// runLockstep drives every lane in rotation quanta until all finish.
-// Per-core limits bound lane skew to window records; the floor
-// (lowest-position) lane of a core is never gated, and if cross-core
-// window shapes ever block every lane in one rotation, the limits grow by
-// a window so progress resumes.
+// runLockstep drives every lane in rotations until all finish. Per-core
+// limits bound lane skew to window records; the floor (lowest-position)
+// lane of a core is never gated, and if cross-core window shapes ever
+// block every lane in one rotation, the limits grow by a window so
+// progress resumes.
 //
-// With workers > 1 each rotation's quanta run concurrently on a bounded
+// A lane's machine is built the first time the lane is scheduled — in the
+// first rotation, on the goroutine that runs it — so a lane that fails to
+// build aborts the batch at that rotation's barrier, with the error text a
+// build failure always had.
+//
+// With workers > 1 each rotation's lanes run concurrently on a bounded
 // pool. That is race-free because the barrier materializes the shared
 // streams up to the window limits before lanes run (so the lane phase
 // only reads them — a runner never steps past limits[c], and telemetry
 // goes to per-lane buffers), and it is deterministic because every
-// unfinished lane runs exactly one quantum per rotation regardless of
+// unfinished lane runs to the same window edge per rotation regardless of
 // worker count and the outcomes — progress OR, completion, the
 // lowest-lane error, buffered epochs — merge in lane order at the
 // barrier. The rotation sequence, and with it the deadlock-breaker
 // growth path, is therefore identical at every worker setting.
 //
-// When po is non-nil, per-lane quantum time is reported per rotation
+// When po is non-nil, per-lane run time is reported per rotation
 // ("lane-run", from the executing goroutine), barrier time once at the
 // end ("barrier"), and each deadlock-breaker growth as a zero-duration
 // "window-grow"; timing wraps existing work and never alters it.
-func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream, po PhaseObserver, workers int, bufs []*epochBuffer, window uint64) error {
+func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Stream, exps []*expStream, po PhaseObserver, workers int, bufs []*epochBuffer, window uint64) error {
 	cores := 0
 	if raws != nil {
 		cores = len(raws)
@@ -407,10 +439,6 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 	limits := make([]uint64, cores)
 	for c := range limits {
 		limits[c] = window
-	}
-	for _, ln := range lanes {
-		ln.run.limits = limits // shared: window advances reach every lane
-		ln.run.consumed = make([]uint64, cores)
 	}
 
 	// ensure materializes every shared stream up to its window limit so
@@ -439,6 +467,18 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 		}
 	}
 
+	// schedule runs lane i for one rotation, building it first if this is
+	// its first.
+	schedule := func(i int) laneOutcome {
+		ln := lanes[i]
+		if ln.sys == nil {
+			if err := ln.start(ctx, raws, exps, limits); err != nil {
+				return laneOutcome{err: fmt.Errorf("sim: batch lane %d (%s): %w", i, ln.cfg.Policy.DisplayName(), err)}
+			}
+		}
+		return ln.advance(i, po)
+	}
+
 	outs := make([]laneOutcome, len(lanes))
 	var (
 		tasks chan int
@@ -450,7 +490,7 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 		for w := 0; w < workers; w++ {
 			go func() {
 				for i := range tasks {
-					outs[i] = lanes[i].quantum(i, po)
+					outs[i] = schedule(i)
 					wg.Done()
 				}
 			}()
@@ -461,8 +501,8 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 	live := len(lanes)
 	ensure()
 	for live > 0 {
-		// Lane phase: every unfinished lane runs one quantum against the
-		// frozen window.
+		// Lane phase: every unfinished lane runs to its window edge against
+		// the frozen window.
 		if workers > 1 {
 			for i, ln := range lanes {
 				if ln.done {
@@ -477,7 +517,7 @@ func runLockstep(lanes []*batchLane, raws []*workload.Stream, exps []*expStream,
 				if ln.done {
 					continue
 				}
-				if outs[i] = ln.quantum(i, po); outs[i].err != nil {
+				if outs[i] = schedule(i); outs[i].err != nil {
 					break // serial semantics: later lanes don't run this rotation
 				}
 			}

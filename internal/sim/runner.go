@@ -6,14 +6,14 @@ import (
 )
 
 // runner is the resumable state of a System's step loop. RunContext drives
-// one runner to completion in a single call; the batch runner time-slices
-// many runners (one per lane) against a shared record stream, pausing a
-// lane whenever its next core would read past the stream window.
+// one runner to completion in a single call; the batch runner drives many
+// runners (one per lane) against a shared record stream, pausing a lane
+// whenever its next core would read past the stream window.
 //
 // The loop body is the exact sequence the monolithic RunContext executed,
-// so a runner driven in quanta performs the same steps in the same order
-// as one driven straight through: results are bit-identical regardless of
-// slicing.
+// so a runner paused and resumed at window edges performs the same steps
+// in the same order as one driven straight through: results are
+// bit-identical regardless of where it pauses.
 type runner struct {
 	s         *System
 	ctx       context.Context
@@ -24,7 +24,7 @@ type runner struct {
 	guardMax  uint64
 	// limits/consumed, when limits is non-nil, gate the runner against a
 	// shared stream window: before stepping the scheduled core the runner
-	// checks consumed[core] < limits[core] and pauses (run returns blocked)
+	// checks consumed[core] < limits[core] and pauses (run returns not done)
 	// otherwise. The heap order is part of the deterministic schedule, so a
 	// refused core blocks the whole lane — stepping any other core would
 	// change results. limits is shared across a batch's lanes (runLockstep
@@ -74,21 +74,18 @@ func (s *System) newRunner(ctx context.Context) (*runner, error) {
 	}, nil
 }
 
-// run advances the system by at most maxSteps trace records. done reports
-// that every active core reached its target; blocked reports an early
-// return because the gate refused the next scheduled core (call run again
-// once the gate admits it). The guard and cancellation counters persist
-// across calls, so slicing a run changes nothing about its behavior.
-func (r *runner) run(maxSteps uint64) (done, blocked bool, err error) {
+// run advances the system until every active core reaches its target
+// (done) or the gate refuses the next scheduled core (not done: call run
+// again once the gate admits it). The guard and cancellation counters
+// persist across calls, so pausing a run changes nothing about its
+// behavior.
+func (r *runner) run() (done bool, err error) {
 	s := r.s
-	for steps := uint64(0); r.remaining > 0; steps++ {
-		if steps >= maxSteps {
-			return false, false, nil
-		}
+	for r.remaining > 0 {
 		if r.cancelCh != nil && r.guard&1023 == 0 {
 			select {
 			case <-r.cancelCh:
-				return false, false, fmt.Errorf("sim: run cancelled after %d steps: %w", r.guard, r.ctx.Err())
+				return false, fmt.Errorf("sim: run cancelled after %d steps: %w", r.guard, r.ctx.Err())
 			default:
 			}
 		}
@@ -98,7 +95,7 @@ func (r *runner) run(maxSteps uint64) (done, blocked bool, err error) {
 			if c := r.consumed[coreID]; c < r.limits[coreID] {
 				budget = r.limits[coreID] - c
 			} else {
-				return false, true, nil
+				return false, nil
 			}
 		}
 		var consumed uint64 = 1
@@ -141,10 +138,10 @@ func (r *runner) run(maxSteps uint64) (done, blocked bool, err error) {
 					detail += fmt.Sprintf(" core%d[i=%d c=%d done=%v]", c, s.cores[c].Instructions(), s.cores[c].Cycles(), s.finishedAt[c].done)
 				}
 			}
-			return false, false, fmt.Errorf("sim: run exceeded %d steps without completing:%s", r.guardMax, detail)
+			return false, fmt.Errorf("sim: run exceeded %d steps without completing:%s", r.guardMax, detail)
 		}
 	}
-	return true, false, nil
+	return true, nil
 }
 
 // finishRun closes telemetry and collects the result once a runner reports

@@ -408,12 +408,15 @@ func (s *System) prefetchAllowed(cand uint64, now uint64) bool {
 
 // issueL1Prefetch brings cand into L1 (and below) without charging the core.
 func (s *System) issueL1Prefetch(coreID int, pc, cand uint64, now uint64) {
-	block := mem.Block(cand)
-	if _, ok := s.l1[coreID].Probe(block); ok {
+	// Throttle before probing: both checks are side-effect free and
+	// either drops the candidate, and under bandwidth pressure most
+	// candidates are throttled, so most skip the probe.
+	if !s.prefetchAllowed(cand, now) {
 		s.prefDropped++
 		return
 	}
-	if !s.prefetchAllowed(cand, now) {
+	block := mem.Block(cand)
+	if _, ok := s.l1[coreID].Probe(block); ok {
 		s.prefDropped++
 		return
 	}
@@ -429,12 +432,13 @@ func (s *System) issueL1Prefetch(coreID int, pc, cand uint64, now uint64) {
 
 // issueL2Prefetch brings cand into L2 (and below) without charging the core.
 func (s *System) issueL2Prefetch(coreID int, pc, cand uint64, now uint64) {
-	block := mem.Block(cand)
-	if _, ok := s.l2[coreID].Probe(block); ok {
+	// Throttle before probing, as in issueL1Prefetch.
+	if !s.prefetchAllowed(cand, now) {
 		s.prefDropped++
 		return
 	}
-	if !s.prefetchAllowed(cand, now) {
+	block := mem.Block(cand)
+	if _, ok := s.l2[coreID].Probe(block); ok {
 		s.prefDropped++
 		return
 	}
@@ -489,12 +493,8 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	}
 	s.feed = workload.NewFeed(s.readers)
 	defer s.feed.Close()
-	done, _, err := r.run(^uint64(0))
-	if err != nil {
+	if _, err := r.run(); err != nil { // ungated: runs to done or an error
 		return nil, err
-	}
-	if !done { // ungated runs only stop on done or error
-		return nil, fmt.Errorf("sim: run stalled before completion")
 	}
 	return s.finishRun()
 }
