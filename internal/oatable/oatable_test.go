@@ -234,6 +234,26 @@ func TestLazyGrowth(t *testing.T) {
 	}
 }
 
+// TestNewSmallStartsAtEight: NewSmall starts at 8 slots whatever its
+// bound, and grows like New up to that bound.
+func TestNewSmallStartsAtEight(t *testing.T) {
+	tb := NewSmall[uint64](256)
+	if tb.Cap() != 8 {
+		t.Fatalf("fresh NewSmall cap = %d, want 8", tb.Cap())
+	}
+	for k := uint64(0); k < 128; k++ {
+		*tb.Insert(k) = k + 1
+	}
+	if tb.Cap() != 256 {
+		t.Fatalf("cap after 128 inserts = %d, want 256", tb.Cap())
+	}
+	for k := uint64(0); k < 128; k++ {
+		if v := tb.Get(k); v == nil || *v != k+1 {
+			t.Fatalf("key %d lost across growth (got %v)", k, v)
+		}
+	}
+}
+
 func TestSmallBoundStartsAtBound(t *testing.T) {
 	tb := New[int](16)
 	if tb.Cap() != 16 {

@@ -11,7 +11,7 @@ import (
 	"drishti/internal/stats"
 )
 
-func build(t *testing.T, placement fabric.Placement, sets, ways, slices int) (*Shared, []*Slice, *fabric.Fabric) {
+func build(t testing.TB, placement fabric.Placement, sets, ways, slices int) (*Shared, []*Slice, *fabric.Fabric) {
 	t.Helper()
 	fab, err := fabric.New(fabric.Config{
 		Placement: placement,
@@ -138,7 +138,7 @@ func TestGenerationFlushDropsUnsampledSets(t *testing.T) {
 	// Fill some sampled history on whatever is sampled now.
 	set := dyn.SampledSets()[0]
 	p.OnAccess(set, access(1, 1, mem.Load), false)
-	if len(p.samples) == 0 {
+	if p.samples[set] == nil {
 		t.Fatal("no sample state allocated")
 	}
 	// Drive a reselection: all sets miss except the current sample.
@@ -146,8 +146,8 @@ func TestGenerationFlushDropsUnsampledSets(t *testing.T) {
 		dyn.OnAccess(i%16, i%16 == set)
 	}
 	p.maybeFlush()
-	for s := range p.samples {
-		if _, ok := dyn.IsSampled(s); !ok {
+	for s, ss := range p.samples {
+		if _, ok := dyn.IsSampled(s); ss != nil && !ok {
 			t.Fatalf("stale sample state kept for unsampled set %d", s)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"drishti/internal/stats"
 )
 
-func build(t *testing.T, placement fabric.Placement, sets, ways, slices int) (*Shared, []*Slice) {
+func build(t testing.TB, placement fabric.Placement, sets, ways, slices int) (*Shared, []*Slice) {
 	t.Helper()
 	fab, err := fabric.New(fabric.Config{
 		Placement: placement,

@@ -4,6 +4,12 @@
 // Belady's OPT have hit this reuse?".
 package optgen
 
+import (
+	"math"
+
+	"drishti/internal/oatable"
+)
+
 // Entry is one tracked line in a sampled set's history. Sig and Core
 // identify the predictor entry of the access that brought the line in.
 type Entry struct {
@@ -13,9 +19,11 @@ type Entry struct {
 	Meta uint64 // policy-private payload (e.g., Glider's history snapshot)
 }
 
-// Set is the OPTgen state of one sampled set.
+// Set is the OPTgen state of one sampled set. The history is an oatable
+// keyed by block, with each Entry inline in its slot, so a lookup or an
+// insert allocates nothing.
 type Set struct {
-	entries map[uint64]*Entry
+	entries *oatable.Table[Entry]
 	occ     []uint8
 	time    uint32
 	ways    int
@@ -32,7 +40,7 @@ func NewSet(window, ways int) *Set {
 
 // Reset discards all history (dynamic sampled-set reselection).
 func (s *Set) Reset(window int) {
-	s.entries = make(map[uint64]*Entry)
+	s.entries = oatable.NewSmall[Entry](2 * window) // at most window entries: half the bound
 	s.occ = make([]uint8, window)
 	s.time = 0
 	s.maxEnt = window
@@ -41,10 +49,11 @@ func (s *Set) Reset(window int) {
 // Time returns the set-local access clock.
 func (s *Set) Time() uint32 { return s.time }
 
-// Lookup returns the history entry for block, if tracked.
+// Lookup returns the history entry for block, if tracked. The pointer is
+// valid until the next Insert or Reset.
 func (s *Set) Lookup(block uint64) (*Entry, bool) {
-	e, ok := s.entries[block]
-	return e, ok
+	e := s.entries.Get(block)
+	return e, e != nil
 }
 
 // OptHit answers whether OPT would have hit the reuse interval ending now
@@ -69,22 +78,33 @@ func (s *Set) OptHit(last uint32) bool {
 // history is full. The evicted entry (whose line aged out un-reused) is
 // returned so the caller can detrain it.
 func (s *Set) Insert(block uint64, e Entry) (evicted Entry, wasEvicted bool) {
-	if len(s.entries) >= s.maxEnt {
-		var (
-			oldBlock uint64
-			oldEnt   *Entry
-		)
-		for blk, ent := range s.entries {
-			if oldEnt == nil || s.time-ent.TS > s.time-oldEnt.TS {
-				oldBlock, oldEnt = blk, ent
-			}
-		}
-		delete(s.entries, oldBlock)
-		evicted, wasEvicted = *oldEnt, true
+	if s.entries.Len() >= s.maxEnt {
+		evicted, wasEvicted = s.evictOldest(), true
 	}
-	cp := e
-	s.entries[block] = &cp
+	*s.entries.Insert(block) = e
 	return evicted, wasEvicted
+}
+
+// evictOldest removes and returns the entry touched longest ago. Every
+// entry's TS is the set time of a distinct access, so the oldest entry is
+// unique and the slot order of the scan cannot change the choice. The scan
+// is branch-free: each slot's key packs its complemented age above its
+// index (all ones for a free slot), and the smallest key is the oldest
+// entry.
+func (s *Set) evictOldest() Entry {
+	best := uint64(math.MaxUint64)
+	for i := range s.entries.Cap() {
+		_, e, live := s.entries.At(i)
+		dead := uint64(0)
+		if !live {
+			dead = math.MaxUint64
+		}
+		best = min(best, uint64(^(s.time-e.TS))<<32|uint64(i)|dead)
+	}
+	block, e, _ := s.entries.At(int(uint32(best)))
+	old := *e
+	s.entries.Delete(block)
+	return old
 }
 
 // Advance opens the occupancy slot for the current time and ticks the clock.

@@ -36,7 +36,7 @@ type SetSelector interface {
 // Static selects N sets pseudo-randomly once, like Hawkeye and Mockingjay do
 // (Section 2).
 type Static struct {
-	sets  map[int]int
+	index setIndex
 	order []int
 	n     int
 }
@@ -54,10 +54,12 @@ func NewStatic(sets, n int, rnd *stats.Rand) *Static {
 func NewFixed(sets []int) *Static { return newStaticFrom(append([]int(nil), sets...)) }
 
 func newStaticFrom(chosen []int) *Static {
-	s := &Static{sets: make(map[int]int, len(chosen)), order: chosen, n: len(chosen)}
-	for i, set := range chosen {
-		s.sets[set] = i
+	size := 0
+	for _, set := range chosen {
+		size = max(size, set+1)
 	}
+	s := &Static{index: make(setIndex, size), order: chosen, n: len(chosen)}
+	s.index.adopt(chosen)
 	return s
 }
 
@@ -65,10 +67,7 @@ func newStaticFrom(chosen []int) *Static {
 func (s *Static) Name() string { return "static" }
 
 // IsSampled implements SetSelector.
-func (s *Static) IsSampled(set int) (int, bool) {
-	idx, ok := s.sets[set]
-	return idx, ok
-}
+func (s *Static) IsSampled(set int) (int, bool) { return s.index.lookup(set) }
 
 // SampledSets implements SetSelector.
 func (s *Static) SampledSets() []int { return s.order }
@@ -155,8 +154,7 @@ type Dynamic struct {
 	phase     dynPhase
 	phaseLeft int
 
-	current    map[int]int
-	sampled    []bool // bitmap mirror of current, for branch-cheap membership
+	index      setIndex
 	order      []int
 	generation uint64
 
@@ -184,7 +182,7 @@ func NewDynamic(cfg DynamicConfig, rnd *stats.Rand) (*Dynamic, error) {
 		cfg:     cfg,
 		rnd:     rnd,
 		ctrs:    make([]uint16, cfg.Sets),
-		sampled: make([]bool, cfg.Sets),
+		index:   make(setIndex, cfg.Sets),
 		ctrInit: uint16(1) << (cfg.CounterBits - 1),
 		ctrMax:  uint16(1)<<cfg.CounterBits - 1,
 	}
@@ -208,10 +206,7 @@ func MustDynamic(cfg DynamicConfig, rnd *stats.Rand) *Dynamic {
 func (d *Dynamic) Name() string { return "dynamic" }
 
 // IsSampled implements SetSelector.
-func (d *Dynamic) IsSampled(set int) (int, bool) {
-	idx, ok := d.current[set]
-	return idx, ok
-}
+func (d *Dynamic) IsSampled(set int) (int, bool) { return d.index.lookup(set) }
 
 // SampledSets implements SetSelector.
 func (d *Dynamic) SampledSets() []int { return d.order }
@@ -228,7 +223,7 @@ func (d *Dynamic) Counter(set int) uint16 { return d.ctrs[set] }
 // OnAccess implements SetSelector: drives the monitor state machine.
 func (d *Dynamic) OnAccess(set int, hit bool) {
 	if !hit {
-		if d.sampled[set] {
+		if d.index[set] != 0 {
 			d.SampledMisses++
 		} else {
 			d.UnsampledMisses++
@@ -296,19 +291,36 @@ func (d *Dynamic) adopt(sets []int) {
 	// random adoption has no predecessor and does not count.
 	if d.generation > 0 {
 		for _, s := range sets {
-			if !d.sampled[s] {
+			if d.index[s] == 0 {
 				d.Churn++
 			}
 		}
 	}
 	d.generation++
 	d.order = sets
-	d.current = make(map[int]int, len(sets))
-	for i := range d.sampled {
-		d.sampled[i] = false
-	}
+	clear(d.index)
+	d.index.adopt(sets)
+}
+
+// setIndex maps a set to its sample index plus one, or to 0 when the set
+// is not sampled: one slice load per IsSampled, where a map took a hash
+// lookup.
+type setIndex []int32
+
+// adopt records sets as sampled, each under its position in sets.
+func (x setIndex) adopt(sets []int) {
 	for i, s := range sets {
-		d.current[s] = i
-		d.sampled[s] = true
+		x[s] = int32(i) + 1
 	}
+}
+
+// lookup returns set's sample index and whether set is sampled. A set past
+// the end of the index (a fixed selection names no set beyond its largest)
+// is not sampled.
+func (x setIndex) lookup(set int) (int, bool) {
+	if set < 0 || set >= len(x) {
+		return 0, false
+	}
+	i := x[set]
+	return int(i) - 1, i != 0
 }
