@@ -142,3 +142,45 @@ func TestStreamLoopsFiniteSource(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamChunkLenRoundsUp checks a chunk length that is not a power of
+// two is rounded up, and that records still come back in order across
+// chunk edges and releases.
+func TestStreamChunkLenRoundsUp(t *testing.T) {
+	recs := make([]trace.Rec, 50)
+	for i := range recs {
+		recs[i] = trace.Rec{PC: uint64(i), Addr: uint64(i) * 64}
+	}
+	for _, n := range []int{1, 3, 5, 8, 100} {
+		s := NewStream(trace.NewSliceReader(recs), n)
+		if l := s.chunkLen; l < uint64(n) || l&(l-1) != 0 {
+			t.Fatalf("chunkLen %d for %d, want the next power of two", l, n)
+		}
+		c := s.Cursor()
+		for i := 0; i < 3*len(recs); i++ {
+			if rec, ok := c.Next(); !ok || rec != recs[i%len(recs)] {
+				t.Fatalf("chunk %d: record %d = %+v ok=%v, want %+v", n, i, rec, ok, recs[i%len(recs)])
+			}
+			s.Release(c.Pos())
+		}
+	}
+}
+
+// BenchmarkStreamCursor is the cost of one record read through a shared
+// stream's cursor, with two cursors reading in turn as two batch lanes do
+// and the window released behind the slower one every 1024 reads. The
+// source is a replayed trace, so generation is almost free and ns/op is
+// the window's own cost.
+func BenchmarkStreamCursor(b *testing.B) {
+	g := MustGenerator(AllSPECGAP()[0], 1)
+	s := NewStream(trace.NewSliceReader(trace.Collect(g, 1<<15)), 0)
+	lanes := [2]*Cursor{s.Cursor(), s.Cursor()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRec, _ = lanes[i&1].Next()
+		if i&1023 == 0 {
+			s.Release(min(lanes[0].Pos(), lanes[1].Pos()))
+		}
+	}
+}

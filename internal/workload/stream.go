@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"drishti/internal/trace"
 )
@@ -30,7 +31,8 @@ const streamChunkLen = 2048
 // sim.runLockstep).
 type Stream struct {
 	src      *trace.LoopReader
-	chunkLen uint64
+	chunkLen uint64 // a power of two
+	shift    uint   // log2(chunkLen): get splits a position with a shift and a mask
 	base     uint64 // absolute record index of chunks[0][0]
 	next     uint64 // absolute record index of the first unmaterialized record
 	chunks   [][]trace.Rec
@@ -38,12 +40,14 @@ type Stream struct {
 	done     bool // src exhausted and empty on loop (degenerate source)
 }
 
-// NewStream wraps src. chunkLen <= 0 selects the default granularity.
+// NewStream wraps src. chunkLen <= 0 selects the default granularity;
+// any other value is rounded up to a power of two.
 func NewStream(src trace.Reader, chunkLen int) *Stream {
 	if chunkLen <= 0 {
 		chunkLen = streamChunkLen
 	}
-	return &Stream{src: trace.NewLoopReader(src), chunkLen: uint64(chunkLen)}
+	shift := uint(bits.Len(uint(chunkLen - 1)))
+	return &Stream{src: trace.NewLoopReader(src), chunkLen: 1 << shift, shift: shift}
 }
 
 // get returns the record at absolute position pos, materializing from the
@@ -58,7 +62,7 @@ func (s *Stream) get(pos uint64) (trace.Rec, bool) {
 		panic(fmt.Sprintf("workload: stream read at %d below released window base %d", pos, s.base))
 	}
 	off := pos - s.base
-	return s.chunks[off/s.chunkLen][off%s.chunkLen], true
+	return s.chunks[off>>s.shift][off&(s.chunkLen-1)], true
 }
 
 // fill materializes one more chunk. A finite source is looped via Reset
