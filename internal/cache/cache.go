@@ -158,13 +158,13 @@ func (c *Cache) polOnFill(set, way int, a repl.Access) {
 }
 
 // polOnEvict dispatches Policy.OnEvict, devirtualized for LRU/SRRIP.
-func (c *Cache) polOnEvict(set, way int, block uint64) {
+func (c *Cache) polOnEvict(set, way int, block, cycle uint64) {
 	switch {
 	case c.lru != nil: // LRU.OnEvict is a no-op
 	case c.srrip != nil:
-		c.srrip.OnEvict(set, way, block)
+		c.srrip.OnEvict(set, way, block, cycle)
 	default:
-		c.pol.OnEvict(set, way, block)
+		c.pol.OnEvict(set, way, block, cycle)
 	}
 }
 
@@ -345,7 +345,7 @@ func (c *Cache) fillAbsent(a repl.Access, dirty bool) Evicted {
 		if ev.Dirty {
 			c.Stats.Writebacks++
 		}
-		c.polOnEvict(a.Set, victim, c.tags[i])
+		c.polOnEvict(a.Set, victim, c.tags[i], a.Cycle)
 	} else {
 		c.valid[a.Set]++
 	}
@@ -373,7 +373,8 @@ func (c *Cache) MarkDirty(block uint64) {
 }
 
 // Invalidate removes block if present, returning whether it was dirty.
-func (c *Cache) Invalidate(block uint64) (wasDirty, present bool) {
+// cycle is when the invalidation happens; the policy's OnEvict gets it.
+func (c *Cache) Invalidate(block, cycle uint64) (wasDirty, present bool) {
 	set := c.SetIndex(block)
 	way, ok := c.probeSet(set, block)
 	if !ok {
@@ -381,7 +382,7 @@ func (c *Cache) Invalidate(block uint64) (wasDirty, present bool) {
 	}
 	i := set*c.ways + way
 	dirty := c.meta[i]&metaDirty != 0
-	c.polOnEvict(set, way, c.tags[i])
+	c.polOnEvict(set, way, c.tags[i], cycle)
 	c.tags[i] = invalidTag
 	c.meta[i] = 0
 	c.valid[set]--

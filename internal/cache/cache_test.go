@@ -145,14 +145,14 @@ func TestRefillExistingLine(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := newLRUCache(t, 2, 2)
 	c.Fill(repl.Access{Block: 4, Type: mem.RFO}, true)
-	dirty, present := c.Invalidate(4)
+	dirty, present := c.Invalidate(4, 0)
 	if !present || !dirty {
 		t.Fatalf("invalidate: dirty=%v present=%v", dirty, present)
 	}
 	if _, ok := c.Probe(4); ok {
 		t.Fatal("block still present after invalidate")
 	}
-	if _, present := c.Invalidate(4); present {
+	if _, present := c.Invalidate(4, 0); present {
 		t.Fatal("double invalidate reported present")
 	}
 }

@@ -58,7 +58,7 @@ func TestAllPoliciesSurviveArbitraryAccessStreams(t *testing.T) {
 					case 2:
 						p.OnHit(set, way, a)
 					default:
-						p.OnEvict(set, way, a.Block)
+						p.OnEvict(set, way, a.Block, a.Cycle)
 					}
 				}
 				return true

@@ -251,11 +251,11 @@ func (p *Slice) Victim(set int, a repl.Access) int {
 }
 
 // OnEvict implements repl.Policy: dead lines punish their insertion action.
-func (p *Slice) OnEvict(set, way int, _ uint64) {
+func (p *Slice) OnEvict(set, way int, _, cycle uint64) {
 	i := p.idx(set, way)
 	ln := &p.lines[i]
 	if ln.sampled && !ln.reused {
-		a := repl.Access{Core: int(ln.core)}
+		a := repl.Access{Core: int(ln.core), Cycle: cycle}
 		p.shared.learn(p.sliceID, a, ln.state, ln.action, rewardDead)
 	}
 	ln.sampled = false

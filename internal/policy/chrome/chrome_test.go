@@ -77,7 +77,7 @@ func TestDeadLinesPunished(t *testing.T) {
 			continue
 		}
 		p.OnFill(0, way, load(pc, uint64(i)))
-		p.OnEvict(0, way, uint64(i)) // evicted un-reused
+		p.OnEvict(0, way, uint64(i), 0) // evicted un-reused
 	}
 	st := p.shared.state(pc, 0, p.pressure(0))
 	q := p.shared.q[0][st]

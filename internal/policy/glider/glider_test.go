@@ -123,7 +123,7 @@ func TestEvictDetrainsFriendly(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.OnFill(1, 0, load(loopPC, 100))
 		p.rrpv[p.idx(1, 0)] = 0 // still "friendly-looking" at eviction
-		p.OnEvict(1, 0, 100)
+		p.OnEvict(1, 0, 100, 0)
 	}
 	after := sh.sum(0, sig, sh.historySnapshot(0))
 	if after >= before {

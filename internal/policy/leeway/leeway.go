@@ -220,7 +220,7 @@ func (p *Slice) Victim(set int, _ repl.Access) int {
 
 // OnEvict implements repl.Policy: sampled evictions train the live span the
 // line actually needed.
-func (p *Slice) OnEvict(set, way int, _ uint64) {
+func (p *Slice) OnEvict(set, way int, _, cycle uint64) {
 	i := p.idx(set, way)
 	ln := &p.lines[i]
 	if ln.sampled && ln.sig != 0 {
@@ -228,7 +228,7 @@ func (p *Slice) OnEvict(set, way int, _ uint64) {
 		if needed < 0 {
 			needed = 0
 		}
-		a := repl.Access{Core: int(ln.core)}
+		a := repl.Access{Core: int(ln.core), Cycle: cycle}
 		p.shared.train(p.sliceID, a, ln.sig, needed)
 	}
 	p.lines[i] = lineState{}

@@ -227,11 +227,11 @@ func (p *Slice) Victim(set int, a repl.Access) int {
 }
 
 // OnEvict implements repl.Policy: dead sampled lines train as no-reuse.
-func (p *Slice) OnEvict(set, way int, _ uint64) {
+func (p *Slice) OnEvict(set, way int, _, cycle uint64) {
 	i := p.idx(set, way)
 	ln := &p.lines[i]
 	if ln.sampled && ln.valid && !ln.reused {
-		a := repl.Access{Core: int(ln.core)}
+		a := repl.Access{Core: int(ln.core), Cycle: cycle}
 		p.shared.train(p.sliceID, a, ln.feat, true)
 	}
 	p.lines[i] = lineState{}

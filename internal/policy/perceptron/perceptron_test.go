@@ -39,7 +39,7 @@ func TestLearnsNoReuseAndBypasses(t *testing.T) {
 			break
 		}
 		p.OnFill(0, v, load(pc, blk))
-		p.OnEvict(0, v, blk)
+		p.OnEvict(0, v, blk, 0)
 	}
 	if !bypassed {
 		t.Fatal("dead stream never learned to bypass")

@@ -216,11 +216,11 @@ func (p *Slice) Victim(set int, _ repl.Access) int {
 }
 
 // OnEvict implements repl.Policy: eviction without reuse trains dead.
-func (p *Slice) OnEvict(set, way int, _ uint64) {
+func (p *Slice) OnEvict(set, way int, _, cycle uint64) {
 	i := p.idx(set, way)
 	ln := &p.lines[i]
 	if ln.sampled && !ln.reused && ln.pc != 0 {
-		a := repl.Access{Core: int(ln.core)}
+		a := repl.Access{Core: int(ln.core), Cycle: cycle}
 		p.shared.train(p.sliceID, a, ln.pc, int(ln.core), true)
 	}
 	p.lines[i] = lineState{}

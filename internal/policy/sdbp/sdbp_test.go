@@ -31,7 +31,7 @@ func TestDeadPCTraining(t *testing.T) {
 	pc := uint64(0xDEAD)
 	for i := 0; i < 20; i++ {
 		p.OnFill(0, 0, load(pc, uint64(i)*4))
-		p.OnEvict(0, 0, 0)
+		p.OnEvict(0, 0, 0, 0)
 	}
 	if dead, _ := sh.predict(0, repl.Access{}, pc, 0); !dead {
 		t.Fatal("killer PC not predicted dead")

@@ -189,11 +189,11 @@ func (p *Slice) Victim(set int, _ repl.Access) int {
 
 // OnEvict implements repl.Policy: a sampled line evicted without reuse
 // trains its signature as not-reused.
-func (p *Slice) OnEvict(set, way int, _ uint64) {
+func (p *Slice) OnEvict(set, way int, _, cycle uint64) {
 	i := p.idx(set, way)
 	ln := &p.lines[i]
 	if ln.sampled && !ln.outcome {
-		a := repl.Access{Core: int(ln.core)}
+		a := repl.Access{Core: int(ln.core), Cycle: cycle}
 		p.shared.train(p.sliceID, a, ln.sig, false)
 	}
 	ln.sampled = false

@@ -50,7 +50,7 @@ func TestDeadSignatureInsertsDistant(t *testing.T) {
 	// Fill and evict without reuse, repeatedly.
 	for i := 0; i < 10; i++ {
 		p.OnFill(0, 0, load(pc, uint64(i)*4))
-		p.OnEvict(0, 0, 0)
+		p.OnEvict(0, 0, 0, 0)
 	}
 	sig := sh.index(pc, 0, false)
 	if ctr, _ := sh.predict(0, repl.Access{}, sig); ctr != 0 {

@@ -76,7 +76,7 @@ func (e *EVA) OnFill(set, way int, _ Access) {
 }
 
 // OnEvict implements Policy: record the eviction's age class.
-func (e *EVA) OnEvict(set, way int, _ uint64) {
+func (e *EVA) OnEvict(set, way int, _, _ uint64) {
 	e.evs[e.age[e.idx(set, way)]]++
 	e.bump()
 }

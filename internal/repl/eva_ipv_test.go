@@ -31,7 +31,7 @@ func TestEVAReclassifies(t *testing.T) {
 		for k := 0; k < 80; k++ {
 			e.OnAccess(1, Access{}, false) // age set 1
 		}
-		e.OnEvict(1, 0, 0) // ancient eviction
+		e.OnEvict(1, 0, 0, 0) // ancient eviction
 		e.OnFill(1, 0, Access{})
 	}
 	// Young classes must now outrank ancient ones.
@@ -52,7 +52,7 @@ func TestEVAVictimInRangeProperty(t *testing.T) {
 			case 1:
 				e.OnHit(set, way, Access{})
 			case 2:
-				e.OnEvict(set, way, 0)
+				e.OnEvict(set, way, 0, 0)
 			default:
 				e.OnAccess(set, Access{}, false)
 			}
@@ -176,7 +176,7 @@ func TestIPVScanResistance(t *testing.T) {
 					c.pol.OnHit(0, hitWay, Access{})
 				} else {
 					v := c.pol.Victim(0, Access{})
-					c.pol.OnEvict(0, v, c.tags[v])
+					c.pol.OnEvict(0, v, c.tags[v], 0)
 					c.tags[v] = tag
 					c.pol.OnFill(0, v, Access{})
 				}
@@ -184,7 +184,7 @@ func TestIPVScanResistance(t *testing.T) {
 			for s := 0; s < 6; s++ { // scan
 				tag := uint64(1000 + round*6 + s)
 				v := c.pol.Victim(0, Access{})
-				c.pol.OnEvict(0, v, c.tags[v])
+				c.pol.OnEvict(0, v, c.tags[v], 0)
 				c.tags[v] = tag
 				c.pol.OnFill(0, v, Access{})
 			}

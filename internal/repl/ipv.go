@@ -113,7 +113,7 @@ func (p *IPV) OnFill(set, way int, _ Access) {
 }
 
 // OnEvict implements Policy.
-func (p *IPV) OnEvict(int, int, uint64) {}
+func (p *IPV) OnEvict(int, int, uint64, uint64) {}
 
 // Victim implements Policy: the line at the LRU stack position.
 func (p *IPV) Victim(set int, _ Access) int {

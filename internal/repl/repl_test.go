@@ -168,7 +168,7 @@ func TestVictimAlwaysValidProperty(t *testing.T) {
 				case 1:
 					p.OnHit(set, way, Access{})
 				default:
-					p.OnEvict(set, way, 0)
+					p.OnEvict(set, way, 0, 0)
 				}
 			}
 			for set := 0; set < 4; set++ {

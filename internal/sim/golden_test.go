@@ -51,7 +51,7 @@ var goldenGrid = []goldenCell{
 var goldenHashes = map[string]string{
 	"name=lru|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c4/pc=false":       "e8dd20d42b7e1b143445bbc00b57b4274db47e665ef970bd197b1d83e641d0d3",
 	"name=dip|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c4/pc=false":       "a671a2599fc79470c90b90754bd90d4f60e7e0e4a1a1f265dcc94d8e1bb14351",
-	"name=hawkeye|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c4/pc=false":    "de78f89d6192bf11b4ea9277c3586ed857c621b860c7cee4cdd800f5a8a48109",
+	"name=hawkeye|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c4/pc=false":    "0256e01ccfdf3142a8fde60237c415945ceefab5e504918d2b8c18fd91e3c203",
 	"name=mockingjay|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c4/pc=false": "560c7cf3d8cf505e44badbc116b0ab1ef103fdf9ab1d6b6274c06a4faee2ba64",
 	"name=lru|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/602.gcc_s-734B/c3/pc=false":        "0d850e96cd5920ef57756dd3506b10e55c79625d69b87b4ec92e35a09c9f2d46",
 	"name=dip|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/602.gcc_s-734B/c3/pc=false":        "c2244fbf823f8d9284232604beb586f6ad5eac53e504f757ca7e0f35c423d1f3",

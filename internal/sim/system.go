@@ -352,10 +352,10 @@ func (s *System) retireLLCEviction(ev cache.Evicted, now uint64) {
 			if s.l1[c] == nil {
 				continue
 			}
-			if d, present := s.l1[c].Invalidate(ev.Block); present && d {
+			if d, present := s.l1[c].Invalidate(ev.Block, now); present && d {
 				dirty = true
 			}
-			if d, present := s.l2[c].Invalidate(ev.Block); present && d {
+			if d, present := s.l2[c].Invalidate(ev.Block, now); present && d {
 				dirty = true
 			}
 		}
