@@ -11,7 +11,7 @@ BENCH_TIME ?= 10x
 BENCH_COUNT ?= 3
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build test race race-serve lint verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke serve
+.PHONY: build test race race-serve lint inline-check verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke serve
 
 # Tier-1 verification (ROADMAP.md): build + tests, then the race detector
 # and static checks. The experiment harness fans simulations out onto a
@@ -19,9 +19,10 @@ BENCH_TOLERANCE ?= 0.10
 # `verify`, not optional. race-serve adds a short-mode -race pass focused
 # on the job service, durable store, and fleet layer, whose concurrency
 # (worker pool, queue, leases, atomic same-key writers) is their whole
-# point. bench-gate fails
-# verify when the quick benchmarks regress >10% against BENCH_sim.json.
-verify: build test race race-serve lint scenarios loadgen-smoke bench-gate
+# point. inline-check fails verify when a replacement kernel on the cache
+# access path stops inlining. bench-gate fails verify when the quick
+# benchmarks regress >10% against BENCH_sim.json.
+verify: build test race race-serve lint inline-check scenarios loadgen-smoke bench-gate
 
 build:
 	$(GO) build ./...
@@ -56,6 +57,14 @@ lint:
 	$(GO) vet ./...
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# inline-check: build internal/repl and internal/cache with -gcflags=-m and
+# fail if LRU.touch, the LRU/SRRIP OnHit/OnFill/Victim callbacks or
+# Cache.probeSet stop inlining (scripts/inline-check.sh lists them). A
+# kernel that silently de-inlines slows every simulated access and fails no
+# test.
+inline-check:
+	GO=$(GO) sh scripts/inline-check.sh
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
