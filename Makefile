@@ -37,15 +37,16 @@ test:
 # lanes concurrently and the parallel merge/telemetry paths go untested.
 # The third runs the serial loop's record feed at 1 and 2 Ps: one P
 # interleaves its producer and consumer goroutines, two run them in
-# parallel. It also runs the lane-lifecycle tests there: lanes built and
-# released on pool workers, and a lane that fails to build.
+# parallel. It also runs the lane-lifecycle tests there: lanes built,
+# recycled into the next lane and released on pool workers, a recycled
+# lane matching a fresh run, and a lane that fails to build.
 race:
 	$(GO) test -race ./...
 	DRISHTI_LANE_WORKERS=2 $(GO) test -race \
 		-run 'TestBatch|TestGoldenBatched|TestSweepBatched' \
 		./internal/sim/ ./internal/experiments/
 	$(GO) test -race -count 1 -cpu 1,2 \
-		-run 'TestFeed|TestGolden|TestRunMixContext|TestBatchWorkersLaneLifetime|TestBatchWorkersBadLaneError' \
+		-run 'TestFeed|TestGolden|TestRunMixContext|TestBatchWorkersLaneLifetime|TestBatchWorkersBadLaneError|TestBatchWorkersRecycledMatchesFresh' \
 		./internal/workload/ ./internal/sim/
 
 race-serve:

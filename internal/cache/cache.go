@@ -93,24 +93,47 @@ type Cache struct {
 }
 
 // New builds a cache with the given replacement policy.
-func New(cfg Config, pol repl.Policy) (*Cache, error) {
+func New(cfg Config, pol repl.Policy) (*Cache, error) { return Renew(nil, cfg, pol) }
+
+// Renew is New building into spare, a cache its caller no longer uses (nil
+// for none). A spare of the same geometry keeps its arrays, reset to the
+// state New leaves them in, so the cache Renew returns behaves exactly as a
+// fresh one; any other spare is ignored. spare must not be used again.
+func Renew(spare *Cache, cfg Config, pol repl.Policy) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if pol == nil {
 		return nil, fmt.Errorf("cache %q: nil policy", cfg.Name)
 	}
-	c := &Cache{
+	c := spare
+	if c == nil || c.cfg.Sets != cfg.Sets || c.cfg.Ways != cfg.Ways {
+		c = &Cache{
+			tags:        make([]uint64, cfg.Sets*cfg.Ways),
+			meta:        make([]uint8, cfg.Sets*cfg.Ways),
+			mru:         make([]uint16, cfg.Sets),
+			valid:       make([]uint16, cfg.Sets),
+			SetAccesses: make([]uint64, cfg.Sets),
+			SetMisses:   make([]uint64, cfg.Sets),
+		}
+	} else {
+		clear(c.meta)
+		clear(c.mru)
+		clear(c.valid)
+		clear(c.SetAccesses)
+		clear(c.SetMisses)
+	}
+	*c = Cache{
 		cfg:         cfg,
-		tags:        make([]uint64, cfg.Sets*cfg.Ways),
-		meta:        make([]uint8, cfg.Sets*cfg.Ways),
-		mru:         make([]uint16, cfg.Sets),
-		valid:       make([]uint16, cfg.Sets),
+		tags:        c.tags,
+		meta:        c.meta,
+		mru:         c.mru,
+		valid:       c.valid,
 		pol:         pol,
 		setMask:     uint64(cfg.Sets - 1),
 		ways:        cfg.Ways,
-		SetAccesses: make([]uint64, cfg.Sets),
-		SetMisses:   make([]uint64, cfg.Sets),
+		SetAccesses: c.SetAccesses,
+		SetMisses:   c.SetMisses,
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag

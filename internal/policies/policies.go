@@ -182,6 +182,15 @@ type Built struct {
 // Build assembles the policy stack. mesh and star are the system
 // interconnect models (star may be nil when NOCSTAR is not used).
 func Build(spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Rand) (*Built, error) {
+	return Renew(nil, spec, g, mesh, star, rnd)
+}
+
+// Renew is Build building into spare, a stack its caller no longer uses
+// (nil for none): an lru or srrip stack reuses the spare's per-slice rows
+// where they are the same policy at the same geometry, reset to the state
+// Build leaves them in (see repl.RenewLRU). Everything else is built
+// afresh, drawing from rnd exactly as Build does.
+func Renew(spare *Built, spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Rand) (*Built, error) {
 	if g.Slices <= 0 || g.Cores <= 0 || g.SetsPerSlice <= 0 || g.Ways <= 0 {
 		return nil, fmt.Errorf("policies: invalid geometry %+v", g)
 	}
@@ -191,7 +200,7 @@ func Build(spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Ran
 		return buildDynamicDIP(spec, g, rnd, b)
 	}
 	if !spec.IsPredictorBased() {
-		return buildBasic(spec, g, rnd, b)
+		return buildBasic(spare, spec, g, rnd, b)
 	}
 
 	fab, err := fabric.New(fabric.Config{
@@ -314,15 +323,19 @@ func Build(spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Ran
 	return b, nil
 }
 
-func buildBasic(spec Spec, g Geometry, rnd *stats.Rand, b *Built) (*Built, error) {
+func buildBasic(spare *Built, spec Spec, g Geometry, rnd *stats.Rand, b *Built) (*Built, error) {
 	for i := range b.PerSlice {
+		var old repl.Policy
+		if spare != nil && i < len(spare.PerSlice) {
+			old = spare.PerSlice[i]
+		}
 		switch spec.Name {
 		case "lru":
-			b.PerSlice[i] = repl.NewLRU(g.SetsPerSlice, g.Ways)
+			b.PerSlice[i] = repl.RenewLRU(old, g.SetsPerSlice, g.Ways)
 		case "random":
 			b.PerSlice[i] = repl.NewRandom(g.Ways, rnd.Uint64())
 		case "srrip":
-			b.PerSlice[i] = repl.NewSRRIP(g.SetsPerSlice, g.Ways)
+			b.PerSlice[i] = repl.RenewSRRIP(old, g.SetsPerSlice, g.Ways)
 		case "brrip":
 			b.PerSlice[i] = repl.NewBRRIP(g.SetsPerSlice, g.Ways)
 		case "dip":

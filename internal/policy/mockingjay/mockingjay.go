@@ -192,7 +192,6 @@ type Slice struct {
 
 	etr      []int16 // sets×ways, scaled by Granularity
 	etrValid []bool
-	lineRD   []int16  // fill-time predicted reuse distance per line
 	setClock []uint16 // per-set access counter for ETR aging
 
 	samples []*sampleSet // by set; nil for sets without sampled history
@@ -231,7 +230,6 @@ func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
 		selGen:   sel.Generation(),
 		etr:      make([]int16, cfg.Sets*cfg.Ways),
 		etrValid: make([]bool, cfg.Sets*cfg.Ways),
-		lineRD:   make([]int16, cfg.Sets*cfg.Ways),
 		setClock: make([]uint16, cfg.Sets),
 		samples:  make([]*sampleSet, cfg.Sets),
 	}
@@ -444,7 +442,6 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 	i := p.idx(set, way)
 	if a.Type == mem.Writeback {
 		// Dirty fills get the lowest priority: maximum time-remaining.
-		p.lineRD[i] = int16(p.shared.cfg.MaxRD)
 		p.etr[i] = int16(p.shared.cfg.MaxRD/p.shared.cfg.Granularity) + 1
 		p.etrValid[i] = true
 		p.penalty = 0
@@ -469,7 +466,6 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 		p.FillsUntrained++
 		rd = p.defaultRD()
 	}
-	p.lineRD[i] = rd
 	p.etr[i] = p.scaled(rd)
 	p.etrValid[i] = true
 	if p.CollectETR {

@@ -50,6 +50,20 @@ func New(name string, seed uint64) (Prefetcher, error) {
 	}
 }
 
+// Renew is New building into spare, a prefetcher its caller no longer uses
+// (nil for none). An IP-stride spare asked for "ip-stride" keeps its PC
+// table, flushed, so it behaves exactly as a fresh one; any other request
+// builds a new prefetcher.
+func Renew(spare Prefetcher, name string, seed uint64) (Prefetcher, error) {
+	if p, ok := spare.(*IPStride); ok && name == "ip-stride" {
+		p.table.Clear()
+		p.buf = p.buf[:0]
+		p.Degree = 2
+		return p, nil
+	}
+	return New(name, seed)
+}
+
 // Validate reports whether New accepts name, without building anything.
 func Validate(name string) error {
 	if name == "" || slices.Contains(Names(), name) {
@@ -114,7 +128,9 @@ type IPStride struct {
 	Degree int
 }
 
-// NewIPStride builds an IP-stride prefetcher with degree 2.
+// NewIPStride builds an IP-stride prefetcher with degree 2. Its table's
+// Get/Insert/Clear/Len behaviour does not depend on how far the table has
+// grown, so a flushed table (see Renew) trains exactly as a new one.
 func NewIPStride() *IPStride {
 	return &IPStride{table: oatable.New[ipStrideEntry](2 * ipStrideLimit), Degree: 2, buf: make([]uint64, 0, 4)}
 }

@@ -79,8 +79,18 @@ type LRU struct {
 }
 
 // NewLRU builds an LRU policy for a sets×ways cache.
-func NewLRU(sets, ways int) *LRU {
-	return &LRU{ways: ways, stride: ways + 1, stamps: make([]uint16, sets*(ways+1))}
+func NewLRU(sets, ways int) *LRU { return RenewLRU(nil, sets, ways) }
+
+// RenewLRU is NewLRU building into spare, a policy its caller no longer
+// uses (nil for none): an *LRU of the same geometry is reset to the state
+// NewLRU leaves it in and returned; any other spare is ignored.
+func RenewLRU(spare Policy, sets, ways int) *LRU {
+	l, ok := spare.(*LRU)
+	if !ok || l.ways != ways || len(l.stamps) != sets*(ways+1) {
+		return &LRU{ways: ways, stride: ways + 1, stamps: make([]uint16, sets*(ways+1))}
+	}
+	clear(l.stamps)
+	return l
 }
 
 // Name implements Policy.
@@ -195,8 +205,17 @@ type SRRIP struct {
 }
 
 // NewSRRIP builds an SRRIP policy for a sets×ways cache.
-func NewSRRIP(sets, ways int) *SRRIP {
-	s := &SRRIP{ways: ways, rrpv: make([]uint8, sets*ways)}
+func NewSRRIP(sets, ways int) *SRRIP { return RenewSRRIP(nil, sets, ways) }
+
+// RenewSRRIP is NewSRRIP building into spare, a policy its caller no longer
+// uses (nil for none): an *SRRIP of the same geometry is reset to the state
+// NewSRRIP leaves it in and returned; any other spare, a *BRRIP included,
+// is ignored.
+func RenewSRRIP(spare Policy, sets, ways int) *SRRIP {
+	s, ok := spare.(*SRRIP)
+	if !ok || s.ways != ways || len(s.rrpv) != sets*ways {
+		s = &SRRIP{ways: ways, rrpv: make([]uint8, sets*ways)}
+	}
 	for i := range s.rrpv {
 		s.rrpv[i] = rrpvMax
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drishti/internal/cache"
@@ -49,11 +50,14 @@ import (
 // recycled at each barrier.
 //
 // A lane's System is built the first time the lane is scheduled, and
-// dropped — keeping only its Result — as soon as the lane finishes. A
-// batch whose run fits the window finishes every lane in the first
-// rotation and so holds at most LaneWorkers machines at once instead of
-// K; a longer run builds every lane in the first rotation and frees each
-// as it finishes.
+// handed back — keeping only its Result — as soon as the lane finishes.
+// The goroutine that ran it (the serial driver, or one pool worker) keeps
+// the machine as its spare and builds the next lane it starts into it
+// (see renew), so a batch whose run fits the window finishes every lane in
+// the first rotation and allocates at most LaneWorkers machines instead
+// of K. A longer run builds every lane in the first rotation, before any
+// finishes, and so still allocates one machine per lane. Once no lane is
+// left to start, a finished lane's machine is dropped, not kept.
 //
 // Between barriers the lanes are independent: all lane-varying state
 // (cores, MSHRs, LLC slices, policy/predictor stack, NoCs, DRAM) is
@@ -307,7 +311,7 @@ const streamChunkLen = 2048
 
 // batchLane is one variant's lane. While it runs it holds its System and
 // paused runner; both are built when the lane is first scheduled and
-// dropped once it finishes, leaving only its Result.
+// handed back once it finishes, leaving only its Result.
 type batchLane struct {
 	cfg       Config
 	cores     []int // active core IDs
@@ -318,10 +322,33 @@ type batchLane struct {
 	done      bool
 }
 
-// laneLive, when non-nil, is told of every lane machine built (+1) and
-// released (-1). Tests use it to bound how many machines a batch holds at
-// once; it may be called from concurrent lane workers.
+// laneLive, when non-nil, is told of every lane machine allocated (+1) and
+// dropped (-1); a machine recycled from one lane into the next counts
+// once. Tests use it to bound how many machines a batch allocates; it may
+// be called from concurrent lane workers.
 var laneLive func(delta int)
+
+// laneWorker is the state one lane-running goroutine keeps across the
+// lanes it runs: the machine of the lane it last finished, which the next
+// lane it starts is built into.
+type laneWorker struct {
+	spare *System
+}
+
+// keep makes sys, a finished lane's machine, the worker's spare, dropping
+// any spare it already holds.
+func (w *laneWorker) keep(sys *System) {
+	w.drop()
+	w.spare = sys
+}
+
+// drop lets go of the worker's spare.
+func (w *laneWorker) drop() {
+	if w.spare != nil && laneLive != nil {
+		laneLive(-1)
+	}
+	w.spare = nil
+}
 
 // expMarker marks a core active in a tier-2 lane; the expanded step path
 // never reads it.
@@ -330,9 +357,9 @@ type expMarker struct{}
 func (expMarker) Next() (trace.Rec, bool) { panic("sim: tier-2 batch lane read its raw reader") }
 func (expMarker) Reset()                  { panic("sim: tier-2 batch lane reset its raw reader") }
 
-// start builds the lane's System over the shared streams and its runner,
-// gated by the batch's window limits.
-func (ln *batchLane) start(ctx context.Context, raws []*workload.Stream, exps []*expStream, limits []uint64) error {
+// start builds the lane's System over the shared streams, into w's spare
+// when it has one, and its runner, gated by the batch's window limits.
+func (ln *batchLane) start(ctx context.Context, w *laneWorker, raws []*workload.Stream, exps []*expStream, limits []uint64) error {
 	readers := make([]trace.Reader, ln.cfg.Cores)
 	var expCursors []*expCursor
 	if exps != nil {
@@ -346,9 +373,15 @@ func (ln *batchLane) start(ctx context.Context, raws []*workload.Stream, exps []
 			readers[c] = raws[c].Cursor()
 		}
 	}
-	sys, err := New(ln.cfg, readers)
+	fresh := w.spare == nil
+	sys, err := renew(w.spare, ln.cfg, readers)
 	if err != nil {
+		w.drop() // a failed build may have reset part of the spare
 		return err
+	}
+	w.spare = nil // sys is built into it
+	if fresh && laneLive != nil {
+		laneLive(1)
 	}
 	sys.expCursors = expCursors
 	run, err := sys.newRunner(ctx)
@@ -358,9 +391,6 @@ func (ln *batchLane) start(ctx context.Context, raws []*workload.Stream, exps []
 	run.limits = limits // shared: window advances reach every lane
 	run.consumed = make([]uint64, len(limits))
 	ln.sys, ln.run = sys, run
-	if laneLive != nil {
-		laneLive(1)
-	}
 	return nil
 }
 
@@ -375,11 +405,11 @@ type laneOutcome struct {
 
 // advance runs lane i until it finishes or its next scheduled core would
 // read past the window. A finished lane collects its Result (finishRun's
-// final telemetry flush lands in the lane's buffer) and releases its
-// machine. With po non-nil the run's wall time is reported as "lane-run"
-// from the calling goroutine — a pool worker when lanes run concurrently
-// (see the PhaseObserver contract).
-func (ln *batchLane) advance(i int, po PhaseObserver) laneOutcome {
+// final telemetry flush lands in the lane's buffer) and hands its machine
+// to w as the spare. With po non-nil the run's wall time is reported as
+// "lane-run" from the calling goroutine — a pool worker when lanes run
+// concurrently (see the PhaseObserver contract).
+func (ln *batchLane) advance(i int, w *laneWorker, po PhaseObserver) laneOutcome {
 	var t0 time.Time
 	if po != nil {
 		t0 = time.Now()
@@ -395,10 +425,8 @@ func (ln *batchLane) advance(i int, po PhaseObserver) laneOutcome {
 	stepped := ln.run.guard != before
 	if done {
 		ln.res, ln.finishErr = ln.sys.finishRun()
+		w.keep(ln.sys)
 		ln.sys, ln.run = nil, nil
-		if laneLive != nil {
-			laneLive(-1)
-		}
 	}
 	return laneOutcome{stepped: stepped, done: done}
 }
@@ -467,16 +495,25 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 		}
 	}
 
-	// schedule runs lane i for one rotation, building it first if this is
-	// its first.
-	schedule := func(i int) laneOutcome {
+	// schedule runs lane i for one rotation on worker w, building it first
+	// if this is its first. Every lane starts in the first rotation, so
+	// once none is left to start a finished lane's machine is dropped at
+	// once instead of kept as a spare nothing will be built into.
+	var unstarted atomic.Int64
+	unstarted.Store(int64(len(lanes)))
+	schedule := func(i int, w *laneWorker) laneOutcome {
 		ln := lanes[i]
 		if ln.sys == nil {
-			if err := ln.start(ctx, raws, exps, limits); err != nil {
+			unstarted.Add(-1)
+			if err := ln.start(ctx, w, raws, exps, limits); err != nil {
 				return laneOutcome{err: fmt.Errorf("sim: batch lane %d (%s): %w", i, ln.cfg.Policy.DisplayName(), err)}
 			}
 		}
-		return ln.advance(i, po)
+		o := ln.advance(i, w, po)
+		if o.done && unstarted.Load() == 0 {
+			w.drop()
+		}
+		return o
 	}
 
 	outs := make([]laneOutcome, len(lanes))
@@ -484,13 +521,23 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 		tasks chan int
 		wg    sync.WaitGroup
 	)
+	// One laneWorker per lane-running goroutine: pool[0] is the driver's
+	// when workers <= 1. Each is touched only by its goroutine while lanes
+	// run and by the driver once they are all idle, after wg.Wait or on
+	// return, when the spares are dropped.
+	pool := make([]laneWorker, max(workers, 1))
+	defer func() {
+		for w := range pool {
+			pool[w].drop()
+		}
+	}()
 	if workers > 1 {
 		tasks = make(chan int, len(lanes))
 		defer close(tasks)
-		for w := 0; w < workers; w++ {
+		for w := range pool {
 			go func() {
 				for i := range tasks {
-					outs[i] = schedule(i)
+					outs[i] = schedule(i, &pool[w])
 					wg.Done()
 				}
 			}()
@@ -517,7 +564,7 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 				if ln.done {
 					continue
 				}
-				if outs[i] = schedule(i); outs[i].err != nil {
+				if outs[i] = schedule(i, &pool[0]); outs[i].err != nil {
 					break // serial semantics: later lanes don't run this rotation
 				}
 			}

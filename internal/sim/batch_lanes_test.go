@@ -11,8 +11,9 @@ import (
 )
 
 // This file pins the lane lifecycle of a lockstep batch: a lane's machine
-// is built when the lane is first scheduled and released when it
-// finishes, and a lane that cannot be built fails the batch with the same
+// is built when the lane is first scheduled, into the machine of the lane
+// its worker finished last when there is one, and handed back when it
+// finishes; a lane that cannot be built fails the batch with the same
 // error text at every worker count.
 
 // laneRunCounter counts "lane-run" observations per lane: a lane observed
@@ -48,20 +49,25 @@ func lifetimeVariants(cores int) []Variant {
 }
 
 // TestBatchWorkersLaneLifetime: when the run fits the window, a batch
-// holds at most LaneWorkers lane machines at once, on both sharing
-// tiers, and every lane's machine is released before RunBatchContext
-// returns — also when a shrunk window spreads the lanes over many
-// rotations. Results match the serial loop throughout.
+// allocates at most LaneWorkers lane machines over its life — each lane
+// worker recycles the machine of the lane it finished into the next it
+// starts — and so holds at most that many at once, on both sharing tiers.
+// Every machine is released before RunBatchContext returns, also when a
+// shrunk window spreads the lanes over many rotations. Results match the
+// serial loop throughout.
 func TestBatchWorkersLaneLifetime(t *testing.T) {
 	var (
-		mu         sync.Mutex
-		live, peak int
+		mu                 sync.Mutex
+		live, peak, allocs int
 	)
 	laneLive = func(delta int) {
 		mu.Lock()
 		defer mu.Unlock()
 		live += delta
 		peak = max(peak, live)
+		if delta > 0 {
+			allocs++
+		}
 	}
 	defer func() { laneLive = nil }()
 
@@ -81,7 +87,7 @@ func TestBatchWorkersLaneLifetime(t *testing.T) {
 				if shrunk {
 					batchMemBudget = 1
 				}
-				live, peak = 0, 0
+				live, peak, allocs = 0, 0, 0
 				results, err := RunBatchContext(context.Background(), cfg, variants, mix)
 				batchMemBudget = oldBudget
 				if err != nil {
@@ -101,6 +107,9 @@ func TestBatchWorkersLaneLifetime(t *testing.T) {
 				}
 				if fits && peak > workers {
 					t.Errorf("tier2=%v workers=%d: %d lane machines held at once, want at most %d", tier2, workers, peak, workers)
+				}
+				if fits && allocs > workers {
+					t.Errorf("tier2=%v workers=%d: %d lane machines allocated, want at most %d", tier2, workers, allocs, workers)
 				}
 				if peak == 0 {
 					t.Errorf("shrunk=%v tier2=%v workers=%d: no lane machine was ever built", shrunk, tier2, workers)

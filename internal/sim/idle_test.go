@@ -191,13 +191,16 @@ func TestInclusiveAloneMatchesEquippedIdle(t *testing.T) {
 var systemSink *System
 
 // BenchmarkNewSystem measures building a 32-core machine at harness scale
-// 8 with every core active (a mix lane) and with one (an alone lane).
+// 8 with every core active (a mix lane) and with one (an alone lane), each
+// fresh (New) and recycled into the machine built before it, as a batch
+// lane worker does (renew).
 func BenchmarkNewSystem(b *testing.B) {
 	cfg := ScaledConfig(32, 8)
 	for _, bc := range []struct {
-		name   string
-		active int // -1: all
-	}{{"all-active", -1}, {"one-active", 0}} {
+		name     string
+		active   int // -1: all
+		recycled bool
+	}{{"all-active", -1, false}, {"one-active", 0, false}, {"all-active-recycled", -1, true}, {"one-active-recycled", 0, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			readers := oneActive(b, cfg, bc.active)
 			if bc.active < 0 {
@@ -205,12 +208,22 @@ func BenchmarkNewSystem(b *testing.B) {
 					readers[c] = oneActive(b, cfg, c)[c]
 				}
 			}
+			var spare *System
+			if bc.recycled {
+				var err error
+				if spare, err = New(cfg, readers); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := New(cfg, readers)
+				s, err := renew(spare, cfg, readers)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if bc.recycled {
+					spare = s
 				}
 				systemSink = s
 			}

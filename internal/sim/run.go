@@ -76,11 +76,11 @@ func RunAloneNContext(ctx context.Context, cfg Config, mix workload.Mix, paralle
 	}
 	if parallelism <= 1 {
 		for c := 0; c < cfg.Cores; c++ {
-			ipc, err := runAloneCore(ctx, cfg, mix, c)
+			res, err := runAloneCore(ctx, cfg, mix, c)
 			if err != nil {
 				return nil, err
 			}
-			out[c] = ipc
+			out[c] = res.PerCore[c].IPC
 		}
 		return out, nil
 	}
@@ -106,7 +106,7 @@ func RunAloneNContext(ctx context.Context, cfg Config, mix workload.Mix, paralle
 		go func(c int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			ipc, err := runAloneCore(ctx, cfg, mix, c)
+			res, err := runAloneCore(ctx, cfg, mix, c)
 			if err != nil {
 				mu.Lock()
 				if c < errCore {
@@ -115,7 +115,7 @@ func RunAloneNContext(ctx context.Context, cfg Config, mix workload.Mix, paralle
 				mu.Unlock()
 				return
 			}
-			out[c] = ipc
+			out[c] = res.PerCore[c].IPC
 		}(c)
 	}
 	wg.Wait()
@@ -129,23 +129,19 @@ func RunAloneNContext(ctx context.Context, cfg Config, mix workload.Mix, paralle
 // IPC calibration, not the run of record, so telemetry is disabled — the
 // concurrent per-core systems would otherwise interleave epochs under one
 // tag in the shared sink.
-func runAloneCore(ctx context.Context, cfg Config, mix workload.Mix, c int) (float64, error) {
+func runAloneCore(ctx context.Context, cfg Config, mix workload.Mix, c int) (*Result, error) {
 	cfg.TelemetryEpoch, cfg.TelemetrySink, cfg.TelemetryTag = 0, nil, ""
 	readers := make([]trace.Reader, cfg.Cores)
 	r, err := workload.NewReader(mix, c)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	readers[c] = r
 	sys, err := New(cfg, readers)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	res, err := sys.RunContext(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return res.PerCore[c].IPC, nil
+	return sys.RunContext(ctx)
 }
 
 // MixOutcome bundles a together-run with its multi-core metrics.

@@ -102,7 +102,20 @@ const pcSlicesLimit = 1 << 16
 // leave that core idle — used for the IPC-alone runs). RunContext calls the
 // readers' Next and Reset from one goroutine of its own, never the
 // caller's, and only while it runs (see RunContext).
-func New(cfg Config, readers []trace.Reader) (*System, error) {
+func New(cfg Config, readers []trace.Reader) (*System, error) { return renew(nil, cfg, readers) }
+
+// renew is New building into spare, a finished system nothing reads any
+// more (nil for none); batch lane workers pass the machine of the lane they
+// last finished. The spare's large arrays are reset to the state New
+// produces and reused: its LLC slices, lru/srrip LLC rows at the same
+// geometry (policies.Renew), and its active cores' L1/L2 caches and
+// IP-stride tables, which go to this system's active cores in turn
+// whichever cores they served before. Everything else — cores, the rest of
+// the policy stack, prefetcher seeds, DRAM, mesh, star, MSHRs, counters —
+// is built or drawn exactly as New does, and nothing a Result holds points
+// into reused memory, so the system behaves exactly as a fresh one. spare
+// must not be used again.
+func renew(spare *System, cfg Config, readers []trace.Reader) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,26 +162,43 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	s.l2 = make([]*cache.Cache, cfg.Cores)
 	s.l1pf = make([]prefetch.Prefetcher, cfg.Cores)
 	s.l2pf = make([]prefetch.Prefetcher, cfg.Cores)
+	var spareCores []int // the spare's active cores, handed out in order
+	if spare != nil {
+		for c, l1 := range spare.l1 {
+			if l1 != nil {
+				spareCores = append(spareCores, c)
+			}
+		}
+	}
 	for c := 0; c < cfg.Cores; c++ {
 		seed1, seed2 := rnd.Uint64(), rnd.Uint64()
 		if readers[c] == nil {
 			continue
 		}
+		var (
+			l1, l2     *cache.Cache
+			l1pf, l2pf prefetch.Prefetcher
+		)
+		if len(spareCores) > 0 {
+			sc := spareCores[0]
+			spareCores = spareCores[1:]
+			l1, l2, l1pf, l2pf = spare.l1[sc], spare.l2[sc], spare.l1pf[sc], spare.l2pf[sc]
+		}
 		if s.cores[c], err = cpu.New(c, cfg.cpuConfig()); err != nil {
 			return nil, err
 		}
 		l1Cfg.Name = fmt.Sprintf("l1d-%d", c)
-		if s.l1[c], err = cache.New(l1Cfg, repl.NewLRU(l1Cfg.Sets, l1Cfg.Ways)); err != nil {
+		if s.l1[c], err = cache.Renew(l1, l1Cfg, repl.RenewLRU(policyOf(l1), l1Cfg.Sets, l1Cfg.Ways)); err != nil {
 			return nil, err
 		}
 		l2Cfg.Name = fmt.Sprintf("l2-%d", c)
-		if s.l2[c], err = cache.New(l2Cfg, repl.NewSRRIP(l2Cfg.Sets, l2Cfg.Ways)); err != nil {
+		if s.l2[c], err = cache.Renew(l2, l2Cfg, repl.RenewSRRIP(policyOf(l2), l2Cfg.Sets, l2Cfg.Ways)); err != nil {
 			return nil, err
 		}
-		if s.l1pf[c], err = prefetch.New(cfg.L1Prefetcher, seed1); err != nil {
+		if s.l1pf[c], err = prefetch.Renew(l1pf, cfg.L1Prefetcher, seed1); err != nil {
 			return nil, err
 		}
-		if s.l2pf[c], err = prefetch.New(cfg.L2Prefetcher, seed2); err != nil {
+		if s.l2pf[c], err = prefetch.Renew(l2pf, cfg.L2Prefetcher, seed2); err != nil {
 			return nil, err
 		}
 	}
@@ -178,13 +208,24 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	s.setBits = uint(bits.TrailingZeros(uint(sets)))
 	s.sliceMask = uint64(cfg.Cores - 1)
 	geo := policies.Geometry{Slices: cfg.Cores, Cores: cfg.Cores, SetsPerSlice: sets, Ways: cfg.LLCWays}
-	s.built, err = policies.Build(cfg.Policy, geo, s.mesh, s.star, rnd.Fork(42))
+	var (
+		spareBuilt *policies.Built
+		spareLLC   []*cache.Cache
+	)
+	if spare != nil {
+		spareBuilt, spareLLC = spare.built, spare.llc
+	}
+	s.built, err = policies.Renew(spareBuilt, cfg.Policy, geo, s.mesh, s.star, rnd.Fork(42))
 	if err != nil {
 		return nil, err
 	}
 	s.penAware = make([]repl.FillLatencier, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		sl, err := cache.New(cache.Config{Name: fmt.Sprintf("llc-%d", i), Sets: sets, Ways: cfg.LLCWays},
+		var old *cache.Cache
+		if i < len(spareLLC) {
+			old = spareLLC[i]
+		}
+		sl, err := cache.Renew(old, cache.Config{Name: fmt.Sprintf("llc-%d", i), Sets: sets, Ways: cfg.LLCWays},
 			s.built.PerSlice[i])
 		if err != nil {
 			return nil, err
@@ -209,6 +250,14 @@ func New(cfg Config, readers []trace.Reader) (*System, error) {
 	s.telem = newTelemetry(s)
 	s.totalTarget = cfg.Warmup + cfg.Instructions
 	return s, nil
+}
+
+// policyOf returns c's replacement policy, nil for a nil cache.
+func policyOf(c *cache.Cache) repl.Policy {
+	if c == nil {
+		return nil
+	}
+	return c.Policy()
 }
 
 // Built exposes the assembled policy stack (experiments introspect it).

@@ -93,27 +93,11 @@ func (r *Rand) Choose(n, k int) []int {
 	return p[:k]
 }
 
-// Geometric returns a sample from a geometric distribution with the given
-// mean (mean >= 0). A mean of zero always returns zero.
-func (r *Rand) Geometric(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	p := 1.0 / (mean + 1.0)
-	u := r.Float64()
-	// Inverse CDF of geometric starting at 0.
-	g := int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
-	if g < 0 {
-		g = 0
-	}
-	return g
-}
-
-// Geom is a geometric sampler with a fixed mean. It draws the same stream
-// values and evaluates the same floating-point expression as Rand.Geometric,
-// so swapping one for the other cannot change results; it only hoists the
-// math.Log1p of the constant distribution parameter out of the per-sample
-// path, which profiles as a hot spot in workload generation.
+// Geom is a geometric sampler with a fixed mean, counting failures before
+// the first success (support 0, 1, 2, …). Each sample draws one Float64
+// from r and inverts the CDF; the math.Log1p of the constant distribution
+// parameter is computed once here rather than per sample, because
+// workload generation draws a sample per record.
 type Geom struct {
 	r    *Rand
 	logQ float64 // math.Log1p(-p) with p = 1/(mean+1)
@@ -139,8 +123,8 @@ func (g *Geom) CloneWith(r *Rand) *Geom {
 	return &c
 }
 
-// Next returns the next sample. Like Rand.Geometric with a non-positive
-// mean, it returns zero without consuming the stream.
+// Next returns the next sample. A sampler with a non-positive mean
+// returns zero without consuming the stream.
 func (g *Geom) Next() int {
 	if !g.live {
 		return 0

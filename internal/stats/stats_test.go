@@ -109,12 +109,12 @@ func TestChooseDistinct(t *testing.T) {
 }
 
 func TestGeometricMean(t *testing.T) {
-	r := NewRand(13)
 	const mean = 4.0
+	g := NewGeom(NewRand(13), mean)
 	var sum float64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(mean))
+		sum += float64(g.Next())
 	}
 	if got := sum / n; math.Abs(got-mean) > 0.1 {
 		t.Fatalf("geometric mean %v, want ≈%v", got, mean)
@@ -123,10 +123,14 @@ func TestGeometricMean(t *testing.T) {
 
 func TestGeometricZeroMean(t *testing.T) {
 	r := NewRand(1)
+	g := NewGeom(r, 0)
 	for i := 0; i < 100; i++ {
-		if r.Geometric(0) != 0 {
-			t.Fatal("Geometric(0) must be 0")
+		if g.Next() != 0 {
+			t.Fatal("a zero-mean Geom must return 0")
 		}
+	}
+	if r.Uint64() != NewRand(1).Uint64() {
+		t.Fatal("a zero-mean Geom consumed its stream")
 	}
 }
 

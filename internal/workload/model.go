@@ -371,7 +371,7 @@ func (g *Generator) pick() *streamState {
 }
 
 func (st *streamState) next() (addr, pc uint64) {
-	spec := st.spec
+	spec := &st.spec // read in place: copying the spec per record shows in profiles
 	switch spec.Kind {
 	case Sequential:
 		stride := uint64(spec.StrideBlk)
