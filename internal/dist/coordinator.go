@@ -395,76 +395,45 @@ func (c *Coordinator) RunJob(ctx context.Context, jobID string, req api.JobReque
 // the store already holds are resolved immediately; the rest come back as
 // pending cellStates.
 func (c *Coordinator) decompose(jobID string, req api.JobRequest, sink func(int, api.CellResult)) (*fleetJob, []*cellState, error) {
-	nw, np, err := req.Grid()
+	plans, err := planJob(req)
 	if err != nil {
 		return nil, nil, err
 	}
 	job := &fleetJob{
 		id:      jobID,
-		results: make([]api.CellResult, nw*np),
+		results: make([]api.CellResult, len(plans)),
 		done:    make(chan struct{}),
 		sink:    sink,
 	}
 	var cells []*cellState
-	idx := 0
-	for wi := 0; wi < nw; wi++ {
-		for pi := 0; pi < np; pi++ {
-			cfg, mix, err := req.Cell(wi, pi)
-			if err != nil {
-				return nil, nil, err
+	for idx, pl := range plans {
+		cell := &cellState{
+			job:      job,
+			spec:     pl.spec,
+			policy:   pl.cfg.Policy.DisplayName(),
+			workload: req.WorkloadName(pl.spec.WorkloadIndex),
+			mixName:  pl.mix.Name,
+			groupKey: batchGroupKey(pl.cfg, pl.mix),
+		}
+		var cached sim.Result
+		hit, err := c.st.Get(pl.spec.Key, &cached)
+		if err != nil {
+			return nil, nil, err
+		}
+		if hit {
+			job.results[idx] = api.NewCellResult(cell.policy, cell.workload, cell.mixName, &cached, true)
+			job.hits++
+			c.cResolved.Inc()
+			c.cFromStore.Inc()
+			if sink != nil {
+				sink(idx, job.results[idx])
 			}
-			key := api.CellKey(cfg, mix)
-			cell := &cellState{
-				job: job,
-				spec: api.CellSpec{
-					Index:         idx,
-					Key:           key,
-					Request:       req,
-					WorkloadIndex: wi,
-					PolicyIndex:   pi,
-				},
-				policy:   cfg.Policy.DisplayName(),
-				workload: req.WorkloadName(wi),
-				mixName:  mix.Name,
-				groupKey: batchGroupKey(cfg, mix),
-			}
-			var cached sim.Result
-			hit, err := c.st.Get(key, &cached)
-			if err != nil {
-				return nil, nil, err
-			}
-			if hit {
-				job.results[idx] = cell.toResult(&cached, true)
-				job.hits++
-				c.cResolved.Inc()
-				c.cFromStore.Inc()
-				if sink != nil {
-					sink(idx, job.results[idx])
-				}
-			} else {
-				job.remaining++
-				cells = append(cells, cell)
-			}
-			idx++
+		} else {
+			job.remaining++
+			cells = append(cells, cell)
 		}
 	}
 	return job, cells, nil
-}
-
-// toResult renders a finished cell in the wire layout the single-node
-// executor produces.
-func (cl *cellState) toResult(res *sim.Result, fromStore bool) api.CellResult {
-	return api.CellResult{
-		Policy:    cl.policy,
-		Workload:  cl.workload,
-		Mix:       cl.mixName,
-		FromStore: fromStore,
-		IPCSum:    res.IPCSum(),
-		MPKI:      res.MPKI,
-		WPKI:      res.WPKI,
-		APKI:      res.APKI,
-		Result:    res,
-	}
 }
 
 // assemble merges a finished job. Cell order is the decompose order, never
@@ -637,7 +606,7 @@ func (c *Coordinator) resolveCellLocked(cl *cellState, res *sim.Result, fromStor
 	}
 	cl.resolved = true
 	job := cl.job
-	job.results[cl.spec.Index] = cl.toResult(res, fromStore)
+	job.results[cl.spec.Index] = api.NewCellResult(cl.policy, cl.workload, cl.mixName, res, fromStore)
 	if job.sink != nil {
 		job.sink(cl.spec.Index, job.results[cl.spec.Index])
 	}
@@ -726,18 +695,11 @@ func (c *Coordinator) runLocal(ctx context.Context, job *fleetJob) {
 		c.log.Info("running cells locally (no live workers)", "job", job.id,
 			"cell", cl.spec.Index, "group", len(group))
 		// Locally-adopted cells have no lease span; their lanes hang
-		// directly off the job span.
-		var parents []trace.SpanContext
-		if job.trace.Valid() {
-			parents = make([]trace.SpanContext, len(specs))
-			for i := range parents {
-				parents[i] = job.trace
-			}
-		}
-		// The fallback runs groups one at a time, so a group may spend one
-		// lane worker per adopted cell, like a worker whose whole capacity
-		// the group occupies.
-		results, fromStore, err := executeCellGroup(ctx, c.st, c.log, specs, parents, c.opts.Trace.Tracer(), len(specs))
+		// directly off the job span. The fallback runs groups one at a
+		// time, so a group may spend one lane worker per adopted cell, like
+		// a worker whose whole capacity the group occupies.
+		results, err := ExecuteCellGroup(ctx, c.st, c.log, specs,
+			[]trace.SpanContext{job.trace}, c.opts.Trace.Tracer(), len(specs))
 		if err != nil {
 			if ctx.Err() != nil {
 				return // job context cancelled; RunJob's select settles it
@@ -752,7 +714,7 @@ func (c *Coordinator) runLocal(ctx context.Context, job *fleetJob) {
 		}
 		for i, g := range group {
 			c.cLocal.Inc()
-			c.resolveCell(g, results[i], fromStore[i])
+			c.resolveCell(g, results[i].Result, results[i].FromStore)
 		}
 	}
 }

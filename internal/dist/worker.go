@@ -15,7 +15,6 @@ import (
 	"drishti/internal/obs"
 	"drishti/internal/obs/trace"
 	"drishti/internal/serve/api"
-	"drishti/internal/sim"
 	"drishti/internal/store"
 )
 
@@ -169,7 +168,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// Leases sharing a batch group run as one lockstep simulation;
 			// the coordinator packs groups onto one grant, so most grants
 			// are a single group.
-			for _, g := range groupLeases(leases) {
+			for _, g := range GroupCells(leases, func(l api.Lease) api.CellSpec { return l.Cell }) {
 				w.inflight.Add(int32(len(g)))
 				wg.Add(1)
 				go func(g []api.Lease) {
@@ -184,15 +183,14 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // runLeaseGroup executes leases that share one batch group — a single
-// lockstep simulation for the whole group — and uploads one completion per
-// lease, so the coordinator's lease accounting never sees the batching.
+// simulation for the whole group, a lone lease being a group of one — and
+// uploads one completion per lease, so the coordinator's lease accounting
+// never sees the batching.
 func (w *Worker) runLeaseGroup(ctx context.Context, ls []api.Lease) {
-	if len(ls) == 1 {
-		w.runLease(ctx, ls[0])
-		return
+	if len(ls) > 1 {
+		w.cBatchGroups.Inc()
 	}
-	w.cBatchGroups.Inc()
-	w.log.Info("lease group accepted", "job", ls[0].JobID, "cells", len(ls))
+	w.log.Info("leases accepted", "job", ls[0].JobID, "cell", ls[0].Cell.Index, "cells", len(ls))
 	// Tracing is on exactly when the coordinator propagated trace context
 	// on the leases. Spans buffer locally and ship on the group's first
 	// completion, so the coordinator reassembles the full tree without any
@@ -206,8 +204,10 @@ func (w *Worker) runLeaseGroup(ctx context.Context, ls []api.Lease) {
 	if ls[0].TraceID != "" {
 		buf = &trace.Buffer{}
 		tr = trace.NewTracer(w.workerID(), buf)
-		gspan = tr.Start(trace.SpanContext{TraceID: ls[0].TraceID, SpanID: ls[0].SpanID}, "lease-group")
-		gspan.SetAttr("leases", strconv.Itoa(len(ls)))
+		if len(ls) > 1 {
+			gspan = tr.Start(trace.SpanContext{TraceID: ls[0].TraceID, SpanID: ls[0].SpanID}, "lease-group")
+			gspan.SetAttr("leases", strconv.Itoa(len(ls)))
+		}
 		parents = make([]trace.SpanContext, len(ls))
 		for i, l := range ls {
 			parents[i] = trace.SpanContext{TraceID: l.TraceID, SpanID: l.SpanID}
@@ -223,122 +223,32 @@ func (w *Worker) runLeaseGroup(ctx context.Context, ls []api.Lease) {
 	if lw == 0 {
 		lw = len(ls)
 	}
-	results, fromStore, err := executeCellGroup(ctx, w.st, w.log, specs, parents, tr, lw)
+	results, err := ExecuteCellGroup(ctx, w.st, w.log, specs, parents, tr, lw)
+	if err != nil && ctx.Err() != nil {
+		return // killed mid-simulation; the leases expire and are reassigned
+	}
 	if err != nil {
-		if ctx.Err() != nil {
-			return // killed mid-batch; the leases expire and are reassigned
-		}
 		gspan.SetAttr("error", err.Error())
-		gspan.End()
-		spans := buf.Drain()
-		for i, l := range ls {
-			w.cFailed.Inc()
-			req := api.CompleteRequest{
-				WorkerID: w.workerID(), LeaseID: l.ID, Error: err.Error(),
-			}
-			if i == 0 {
-				req.Spans = spans
-			}
-			w.completeWithRetry(ctx, req)
-		}
-		return
 	}
 	gspan.End()
 	spans := buf.Drain()
 	for i, l := range ls {
-		w.cExecuted.Inc()
-		if fromStore[i] {
-			w.cFromStore.Inc()
-		}
-		req := api.CompleteRequest{
-			WorkerID: w.workerID(), LeaseID: l.ID, FromStore: fromStore[i], Result: results[i],
+		req := api.CompleteRequest{WorkerID: w.workerID(), LeaseID: l.ID}
+		if err != nil {
+			w.cFailed.Inc()
+			req.Error = err.Error()
+		} else {
+			w.cExecuted.Inc()
+			if results[i].FromStore {
+				w.cFromStore.Inc()
+			}
+			req.FromStore, req.Result = results[i].FromStore, results[i].Result
 		}
 		if i == 0 {
 			req.Spans = spans
 		}
 		w.completeWithRetry(ctx, req)
 	}
-}
-
-// runLease executes one leased cell and uploads the outcome (with the
-// cell's spans attached when the lease carries trace context).
-func (w *Worker) runLease(ctx context.Context, l api.Lease) {
-	w.log.Info("lease accepted", "lease", l.ID, "job", l.JobID, "cell", l.Cell.Index)
-	var (
-		buf    *trace.Buffer
-		tr     *trace.Tracer
-		parent trace.SpanContext
-	)
-	if l.TraceID != "" {
-		buf = &trace.Buffer{}
-		tr = trace.NewTracer(w.workerID(), buf)
-		parent = trace.SpanContext{TraceID: l.TraceID, SpanID: l.SpanID}
-	}
-	res, fromStore, err := executeCell(ctx, w.st, w.log, l.Cell, parent, tr)
-	if err != nil {
-		if ctx.Err() != nil {
-			return // killed mid-cell; the lease expires and is reassigned
-		}
-		w.cFailed.Inc()
-		w.completeWithRetry(ctx, api.CompleteRequest{
-			WorkerID: w.workerID(), LeaseID: l.ID, Error: err.Error(), Spans: buf.Drain(),
-		})
-		return
-	}
-	w.cExecuted.Inc()
-	if fromStore {
-		w.cFromStore.Inc()
-	}
-	w.completeWithRetry(ctx, api.CompleteRequest{
-		WorkerID: w.workerID(), LeaseID: l.ID, FromStore: fromStore, Result: res, Spans: buf.Drain(),
-	})
-}
-
-// executeCell resolves one cell: rebuild the exact machine and mix from
-// the wire spec, verify the content address matches the coordinator's
-// (loud failure on any schema drift), then serve from the store or
-// simulate and store. Shared by workers and the coordinator's local
-// fallback so every node computes cells identically. parent/tr attach the
-// cell's spans to its lease (both zero/nil when tracing is off).
-func executeCell(ctx context.Context, st *store.Store, log *slog.Logger, spec api.CellSpec, parent trace.SpanContext, tr *trace.Tracer) (*sim.Result, bool, error) {
-	cfg, mix, err := spec.Request.Cell(spec.WorkloadIndex, spec.PolicyIndex)
-	if err != nil {
-		return nil, false, err
-	}
-	key := api.CellKey(cfg, mix)
-	if key != spec.Key {
-		return nil, false, fmt.Errorf(
-			"dist: cell key mismatch (wire-schema drift?): coordinator sent %q, rebuilt %q", spec.Key, key)
-	}
-	var cached sim.Result
-	hit, err := st.Get(key, &cached)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		hs := tr.Start(parent, "store-hit")
-		hs.SetAttr("key", key)
-		hs.End()
-		return &cached, true, nil
-	}
-	ls := tr.Start(parent, "lane")
-	ls.SetAttr("policy", cfg.Policy.DisplayName())
-	res, err := sim.RunMixContext(ctx, cfg, mix)
-	if err != nil {
-		ls.SetAttr("error", err.Error())
-		ls.End()
-		return nil, false, err
-	}
-	ls.End()
-	ws := tr.Start(ls.Context(), "store-write")
-	ws.SetAttr("key", key)
-	if err := st.Put(key, res); err != nil {
-		// The result is good; only durability failed. Log and serve it.
-		log.Warn("store put failed", "err", err)
-		ws.SetAttr("error", err.Error())
-	}
-	ws.End()
-	return res, false, nil
 }
 
 // register joins the fleet, retrying transient failures with backoff until

@@ -18,12 +18,14 @@
 //
 // # Migrating from v2 to v3
 //
-// v3 is a strict superset of v2 for job submission: every valid v2
-// JobRequest (apiVersion 2 or 0) is still accepted, decodes to the same
+// Job submission accepts apiVersion 3 or 0 only; requests pinned to
+// apiVersion 2 are refused with HTTP 400. A v2 client migrates by
+// dropping its apiVersion field (0 means current) or sending 3: every
+// v2 JobRequest body is otherwise a valid v3 body, decodes to the same
 // sweep, and echoes back byte-identically — the new fields are omitted
-// when unset. Fleet messages (register/lease/complete and the new forward
-// endpoints) require an exact version match as before, so workers must be
-// rebuilt when the coordinator is upgraded. What v3 adds:
+// when unset. Fleet messages (register/lease/complete and the forward
+// endpoints) require an exact version match, so workers must be rebuilt
+// when the coordinator is upgraded. What v3 adds:
 //
 //   - Streamed per-cell results: GET /v1/jobs/{id}/results serves chunked
 //     NDJSON (Content-Type application/x-ndjson), one ResultEvent per
@@ -70,14 +72,8 @@ import (
 // v3 added streamed per-cell results (ResultEvent NDJSON on
 // GET /v1/jobs/{id}/results), per-tenant quota and priority classes on
 // JobRequest, and the multi-coordinator forwarding messages
-// (ForwardCellsRequest/ForwardCompleteRequest). Job submission remains
-// backward compatible: requests carrying apiVersion 2 (or 0) are still
-// accepted.
+// (ForwardCellsRequest/ForwardCompleteRequest).
 const Version = 3
-
-// CompatVersions lists the request schema generations Validate accepts
-// for job submission. Fleet traffic still requires an exact match.
-var CompatVersions = []int{2, Version}
 
 // Priority classes for JobRequest.Priority. Higher classes are always
 // dispatched before lower ones; jobs within a class run FIFO. An empty
@@ -201,12 +197,8 @@ func (r JobRequest) WithDefaults() JobRequest {
 
 // Validate rejects malformed requests before they reach the queue.
 func (r JobRequest) Validate() error {
-	ok := r.APIVersion == 0
-	for _, v := range CompatVersions {
-		ok = ok || r.APIVersion == v
-	}
-	if !ok {
-		return fmt.Errorf("apiVersion %d not supported (current: %d, accepted: %v)", r.APIVersion, Version, CompatVersions)
+	if r.APIVersion != 0 && r.APIVersion != Version {
+		return fmt.Errorf("apiVersion %d not supported (current: %d)", r.APIVersion, Version)
 	}
 	if err := r.validateTenancy(); err != nil {
 		return err
@@ -458,6 +450,22 @@ type CellResult struct {
 	WPKI      float64     `json:"wpki"`
 	APKI      float64     `json:"apki"`
 	Result    *sim.Result `json:"result,omitempty"`
+}
+
+// NewCellResult renders one resolved cell in the wire layout every
+// executor (single node, coordinator, fleet) reports.
+func NewCellResult(policy, workload, mix string, res *sim.Result, fromStore bool) CellResult {
+	return CellResult{
+		Policy:    policy,
+		Workload:  workload,
+		Mix:       mix,
+		FromStore: fromStore,
+		IPCSum:    res.IPCSum(),
+		MPKI:      res.MPKI,
+		WPKI:      res.WPKI,
+		APKI:      res.APKI,
+		Result:    res,
+	}
 }
 
 // JobResult is what GET /v1/jobs/{id}/result returns for a done job.

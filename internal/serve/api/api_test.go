@@ -39,15 +39,14 @@ func TestWithDefaults(t *testing.T) {
 
 func TestValidateAPIVersion(t *testing.T) {
 	r := sweepRequest()
-	// 0 = current, plus every compat generation (v2 requests are a strict
-	// subset of v3 and stay accepted through the door check).
-	for _, v := range append([]int{0}, CompatVersions...) {
+	// 0 means current; the current generation is the only other door.
+	for _, v := range []int{0, Version} {
 		r.APIVersion = v
 		if err := r.Validate(); err != nil {
 			t.Errorf("Validate() with apiVersion %d: %v", v, err)
 		}
 	}
-	for _, v := range []int{1, Version + 1} {
+	for _, v := range []int{1, 2, Version + 1} {
 		r.APIVersion = v
 		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "apiVersion") {
 			t.Errorf("Validate() with apiVersion %d: err = %v, want apiVersion rejection", r.APIVersion, err)

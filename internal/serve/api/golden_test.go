@@ -186,14 +186,14 @@ func TestGoldenWireFormatV3(t *testing.T) {
 	}
 	checkGolden(t, "job_request_v3.golden.json", encodeWire(t, req))
 
-	// A request without the v3 fields must render byte-identically to a
-	// v2 request — omitempty keeps old clients' wire format untouched.
-	v2 := req
-	v2.APIVersion = 2
-	v2.Tenant, v2.Priority = "", ""
+	// An unversioned request without the v3 fields must render without
+	// them — omitempty keeps old clients' wire format untouched.
+	plain := req
+	plain.APIVersion = 0
+	plain.Tenant, plain.Priority = "", ""
 	for _, field := range []string{"tenant", "priority"} {
-		if bytes.Contains(encodeWire(t, v2), []byte(field)) {
-			t.Errorf("empty %s leaked into the v2 wire format", field)
+		if bytes.Contains(encodeWire(t, plain), []byte(field)) {
+			t.Errorf("empty %s leaked into the unversioned wire format", field)
 		}
 	}
 

@@ -139,7 +139,7 @@ func TestScenarioCellKeyMatchesPlainRequest(t *testing.T) {
 }
 
 // TestScenarioGoldenWire pins the wire bytes of a scenario-bearing job
-// request: the scenario field is additive (apiVersion stays 2) and its
+// request: the scenario field is additive (no version bump) and its
 // schema is the scenario package's golden-pinned spec schema.
 func TestScenarioGoldenWire(t *testing.T) {
 	req := scenarioRequest()

@@ -19,12 +19,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"drishti/internal/dist"
 	"drishti/internal/obs"
 	"drishti/internal/obs/trace"
 	"drishti/internal/serve/api"
-	"drishti/internal/sim"
 	"drishti/internal/store"
-	"drishti/internal/workload"
 )
 
 // Distributor executes a job's sweep cells somewhere other than this
@@ -513,13 +512,16 @@ func (s *Service) execute(j *Job) {
 		"attempts", attempts, "elapsed", elapsed.Round(time.Millisecond), "err", err)
 }
 
-// runJob executes the request's workload × policy grid serially within the
-// job (the worker pool provides cross-job parallelism), front-loading every
-// cell with a store lookup. Identical cells computed by any earlier process
-// are served from disk without touching the simulator. In fleet mode the
+// runJob executes the request's workload × policy grid. In fleet mode the
 // configured Distributor gets the job first; it declines with
 // api.ErrNoWorkers when the fleet is empty and the local path below runs
-// exactly as on a single node.
+// exactly as on a single node. Locally the grid's cells are partitioned
+// into batch groups (cells that differ only in policy), and each group is
+// resolved by dist.ExecuteCellGroup: identical cells computed by any
+// earlier process are served from the store without touching the
+// simulator, and the misses run as one lockstep batch on one lane worker —
+// the worker pool already provides cross-job parallelism. Each cell is
+// recorded at its index in the grid's deterministic order.
 func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, error) {
 	req := j.Request
 	sink := func(index int, cell api.CellResult) { s.recordCell(j, index, cell) }
@@ -534,55 +536,31 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, error) {
 			return nil, err
 		}
 	}
-	nw, np, err := req.Grid()
+	specs, err := dist.CellSpecs(req)
 	if err != nil {
 		return nil, err
 	}
-	out := &JobResult{}
-	tracer := s.opts.Trace.Tracer()
-	parent := trace.FromContext(ctx)
-	for wi := 0; wi < nw; wi++ {
-		for pi := 0; pi < np; pi++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cfg, mix, err := req.Cell(wi, pi)
-			if err != nil {
-				return nil, err
-			}
-			sp := tracer.Start(parent, "cell")
-			sp.SetAttr("policy", cfg.Policy.DisplayName())
-			sp.SetAttr("mix", mix.Name)
-			res, fromStore, err := s.runCell(ctx, cfg, mix)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				return nil, fmt.Errorf("%s on %s: %w", cfg.Policy.DisplayName(), mix.Name, err)
-			}
-			sp.SetAttr("fromStore", strconv.FormatBool(fromStore))
-			sp.End()
-			if fromStore {
+	out := &JobResult{Cells: make([]CellResult, len(specs))}
+	parents := []trace.SpanContext{trace.FromContext(ctx)} // every cell hangs off the job span
+	for _, group := range dist.GroupCells(specs, func(c api.CellSpec) api.CellSpec { return c }) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cells, err := dist.ExecuteCellGroup(ctx, s.st, s.log, group, parents, s.opts.Trace.Tracer(), 1)
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", req.WorkloadName(group[0].WorkloadIndex), err)
+		}
+		for i, cell := range cells {
+			if cell.FromStore {
 				out.StoreHits++
 			} else {
 				out.StoreMisses++
 			}
-			cell := CellResult{
-				Policy:    cfg.Policy.DisplayName(),
-				Workload:  req.WorkloadName(wi),
-				Mix:       mix.Name,
-				FromStore: fromStore,
-				IPCSum:    res.IPCSum(),
-				MPKI:      res.MPKI,
-				WPKI:      res.WPKI,
-				APKI:      res.APKI,
-				Result:    res,
-			}
-			out.Cells = append(out.Cells, cell)
-			sink(wi*np+pi, cell)
-			s.log.Info("cell done", "job", j.ID,
-				"run", obs.RunID(cfg.Key(), mix.Key()),
-				"policy", cfg.Policy.DisplayName(), "mix", mix.Name,
-				"fromStore", fromStore, "mpki", res.MPKI)
+			idx := group[i].Index
+			out.Cells[idx] = cell
+			sink(idx, cell)
+			s.log.Info("cell done", "job", j.ID, "cell", idx, "policy", cell.Policy,
+				"mix", cell.Mix, "fromStore", cell.FromStore, "mpki", cell.MPKI)
 		}
 	}
 	return out, nil
@@ -606,28 +584,6 @@ func (s *Service) Trace(id string) (api.TraceView, bool) {
 		spans = []trace.Span{}
 	}
 	return api.TraceView{TraceID: traceID, Spans: spans}, true
-}
-
-// runCell serves one simulation from the store or computes and stores it.
-func (s *Service) runCell(ctx context.Context, cfg sim.Config, mix workload.Mix) (*sim.Result, bool, error) {
-	key := api.CellKey(cfg, mix)
-	var cached sim.Result
-	hit, err := s.st.Get(key, &cached)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		return &cached, true, nil
-	}
-	res, err := sim.RunMixContext(ctx, cfg, mix)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := s.st.Put(key, res); err != nil {
-		// The result is good; only durability failed. Log and serve it.
-		s.log.Warn("store put failed", "err", err)
-	}
-	return res, false, nil
 }
 
 // Shutdown gracefully stops the service: new submissions are rejected,

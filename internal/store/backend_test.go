@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -246,6 +247,180 @@ func TestCachedConcurrent(t *testing.T) {
 	wg.Wait()
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gatedBackend is a Mem that lets writes through one at a time: each Put
+// announces its address on entered and blocks until the test sends a
+// token on release. With holdList set, List does the same after reading
+// the map, announcing "list". A test thus holds a write-back (or a
+// listing) at an exact point and forces an interleaving instead of
+// hoping the scheduler finds it. Closing done opens every gate, so a
+// failed test still shuts its cache down.
+type gatedBackend struct {
+	*Mem
+	entered  chan string
+	release  chan struct{}
+	done     chan struct{}
+	holdList bool
+}
+
+// newGatedCache builds a write-back tier over a gatedBackend and closes
+// both when the test ends.
+func newGatedCache(t *testing.T) (*gatedBackend, *Cached) {
+	g := &gatedBackend{Mem: NewMem(), entered: make(chan string),
+		release: make(chan struct{}), done: make(chan struct{})}
+	c := NewCached(g, 8)
+	t.Cleanup(func() {
+		close(g.done)
+		c.Close()
+	})
+	return g, c
+}
+
+func (g *gatedBackend) hold(event string) {
+	select {
+	case g.entered <- event:
+	case <-g.done:
+		return
+	}
+	select {
+	case <-g.release:
+	case <-g.done:
+	}
+}
+
+func (g *gatedBackend) Put(addr string, data []byte) error {
+	g.hold(addr)
+	return g.Mem.Put(addr, data)
+}
+
+func (g *gatedBackend) List() ([]string, error) {
+	addrs, err := g.Mem.List()
+	if g.holdList {
+		g.hold("list")
+	}
+	return addrs, err
+}
+
+// until spins (yielding, no sleeps) until cond holds under c's lock.
+func until(c *Cached, cond func() bool) {
+	for {
+		c.mu.Lock()
+		ok := cond()
+		c.mu.Unlock()
+		if ok {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestCachedDeleteDuringWriteBack: a Delete issued while the flusher is
+// writing the same entry down must not let that write-back land after
+// the backing delete and resurrect the entry.
+func TestCachedDeleteDuringWriteBack(t *testing.T) {
+	g, c := newGatedCache(t)
+	addr := Addr("doomed")
+	if err := c.Put(addr, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-g.entered; got != addr { // write-back now in flight
+		t.Fatalf("write-back of %q, want %q", got, addr)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Delete(addr) }()
+	// Delete drops the entry from the table and parks on the in-flight
+	// write-back without releasing the lock in between.
+	until(c, func() bool { _, ok := c.entries[addr]; return !ok })
+	g.release <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Mem.Get(addr); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("backing Get(deleted) = %v, want ErrNotFound: the write-back resurrected it", err)
+	}
+	if _, err := c.Get(addr); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(deleted) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestCachedListDuringWriteBack: an entry the flusher writes down (and
+// marks clean) while List is between the backing listing and the
+// write-back queue must still be listed.
+func TestCachedListDuringWriteBack(t *testing.T) {
+	g, c := newGatedCache(t)
+	addr := Addr("moving")
+	if err := c.Put(addr, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	<-g.entered // write-back in flight; the entry is still owed
+	g.holdList = true
+	got := make(chan []string, 1)
+	go func() {
+		addrs, err := c.List()
+		if err != nil {
+			t.Error(err)
+		}
+		got <- addrs
+	}()
+	if ev := <-g.entered; ev != "list" { // backing listed before the write-back landed
+		t.Fatalf("event %q, want list", ev)
+	}
+	g.release <- struct{}{}           // the write-back lands ...
+	if err := c.Flush(); err != nil { // ... and the entry is clean
+		t.Fatal(err)
+	}
+	g.release <- struct{}{} // List resumes
+	if addrs := <-got; len(addrs) != 1 || addrs[0] != addr {
+		t.Fatalf("List = %v, want [%s]", addrs, addr)
+	}
+}
+
+// TestCachedUsageDuringWriteBack: Usage counts every address once — an
+// entry whose write-back is in flight when Usage starts, and an owed
+// overwrite of an entry the backing already holds.
+func TestCachedUsageDuringWriteBack(t *testing.T) {
+	g, c := newGatedCache(t)
+	a, b := Addr("a"), Addr("b")
+	c.Put(a, []byte("v1"))
+	<-g.entered
+	g.release <- struct{}{}
+	if err := c.Flush(); err != nil { // a = "v1" is durable
+		t.Fatal(err)
+	}
+	c.Put(b, []byte("bb"))
+	<-g.entered             // b's write-back in flight
+	c.Put(a, []byte("v22")) // owed overwrite, queued behind b
+	type usage struct {
+		entries int
+		bytes   int64
+	}
+	got := make(chan usage, 1)
+	go func() {
+		n, sz, err := c.Usage()
+		if err != nil {
+			t.Error(err)
+		}
+		got <- usage{n, sz}
+	}()
+	until(c, func() bool { return c.paused > 0 }) // Usage holds the flusher off
+	g.release <- struct{}{}                       // b lands while Usage waits on it
+	if u, want := <-got, (usage{2, 5}); u != want {
+		t.Fatalf("Usage = %+v, want %+v (a: 3 bytes owed, b: 2 bytes)", u, want)
+	}
+	if ev := <-g.entered; ev != a { // the flusher resumes with a
+		t.Fatalf("write-back of %q, want %q", ev, a)
+	}
+	g.release <- struct{}{}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n, sz, err := c.Usage(); err != nil || n != 2 || sz != 5 {
+		t.Fatalf("Usage after flush = %d entries / %d bytes, %v; want 2 / 5", n, sz, err)
 	}
 }
 

@@ -31,11 +31,12 @@ type Cached struct {
 	max     int
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast when the dirty queue drains
+	cond     *sync.Cond // broadcast after every write-back and when the queue drains
 	entries  map[string]*centry
 	lru      *list.List // front = most recently used
 	dirty    []*centry  // FIFO write-back queue
-	flushing bool       // a write-back is in flight
+	inflight string     // address of the write-back in flight, "" when none
+	paused   int        // Usage calls holding the flusher off
 	err      error      // first async write-back failure (sticky until Flush)
 
 	wake    chan struct{}
@@ -159,10 +160,7 @@ func (c *Cached) Put(addr string, data []byte) error {
 	}
 	c.touchLocked(e)
 	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.kick()
 	return nil
 }
 
@@ -179,46 +177,91 @@ func (c *Cached) Delete(addr string) error {
 		e.dirty = false
 		e.gen++
 	}
+	// A write-back of this address already in flight would land after the
+	// backing delete and make the entry durable again; wait it out.
+	for c.inflight == addr {
+		c.cond.Wait()
+	}
 	c.mu.Unlock()
 	return c.backing.Delete(addr)
 }
 
+// owedLocked snapshots the entries still waiting in the write-back queue
+// (or in flight), mapped to their payload sizes.
+func (c *Cached) owedLocked() map[string]int {
+	owed := make(map[string]int)
+	for _, e := range c.entries {
+		if e.dirty {
+			owed[e.addr] = len(e.data)
+		}
+	}
+	return owed
+}
+
 // List merges the backing store's listing with entries still waiting in
 // the write-back queue, so a Put is visible to List before it is durable.
+// The queue is read first: an entry written down after that read is in
+// the backing listing instead, so none falls between the two.
 func (c *Cached) List() ([]string, error) {
+	c.mu.Lock()
+	owed := c.owedLocked()
+	c.mu.Unlock()
 	addrs, err := c.backing.List()
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(addrs))
 	for _, a := range addrs {
-		seen[a] = true
+		delete(owed, a)
 	}
-	c.mu.Lock()
-	for _, e := range c.entries {
-		if e.dirty && !seen[e.addr] {
-			seen[e.addr] = true
-			addrs = append(addrs, e.addr)
-		}
+	for a := range owed {
+		addrs = append(addrs, a)
 	}
-	c.mu.Unlock()
 	return addrs, nil
 }
 
+// Usage totals the backing store and the owed write-backs, each address
+// once. The flusher is held off for the call, so no entry moves from the
+// queue to the backing store between the two reads; an owed entry that
+// the backing already holds in an older version counts with its new size.
 func (c *Cached) Usage() (int, int64, error) {
+	c.mu.Lock()
+	c.paused++
+	for c.inflight != "" {
+		c.cond.Wait()
+	}
+	owed := c.owedLocked()
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.paused--
+		c.mu.Unlock()
+		c.kick()
+	}()
 	entries, bytes, err := Usage(c.backing)
 	if err != nil {
 		return entries, bytes, err
 	}
-	c.mu.Lock()
-	for _, e := range c.entries {
-		if e.dirty {
+	for addr, n := range owed {
+		old, err := c.backing.Get(addr)
+		switch {
+		case err == nil:
+			bytes -= int64(len(old))
+		case errors.Is(err, ErrNotFound):
 			entries++
-			bytes += int64(len(e.data))
+		default:
+			return entries, bytes, err
 		}
+		bytes += int64(n)
 	}
-	c.mu.Unlock()
 	return entries, bytes, nil
+}
+
+// kick wakes the flusher without blocking.
+func (c *Cached) kick() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
 }
 
 // flusher is the single write-back goroutine: it drains the dirty queue
@@ -227,8 +270,7 @@ func (c *Cached) flusher() {
 	defer close(c.stopped)
 	for {
 		c.mu.Lock()
-		for len(c.dirty) == 0 {
-			c.flushing = false
+		for len(c.dirty) == 0 || c.paused > 0 {
 			c.cond.Broadcast()
 			c.mu.Unlock()
 			select {
@@ -244,7 +286,7 @@ func (c *Cached) flusher() {
 			c.mu.Unlock()
 			continue
 		}
-		c.flushing = true
+		c.inflight = e.addr
 		data, gen := e.data, e.gen
 		c.mu.Unlock()
 
@@ -259,10 +301,8 @@ func (c *Cached) flusher() {
 		} else {
 			e.dirty = false
 		}
-		c.flushing = false
-		if len(c.dirty) == 0 {
-			c.cond.Broadcast()
-		}
+		c.inflight = ""
+		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
 }
@@ -271,13 +311,10 @@ func (c *Cached) flusher() {
 // (and clears) the first asynchronous write failure recorded since the
 // previous Flush.
 func (c *Cached) Flush() error {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.kick()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for (len(c.dirty) > 0 || c.flushing) && !c.closed {
+	for (len(c.dirty) > 0 || c.inflight != "") && !c.closed {
 		c.cond.Wait()
 	}
 	err := c.err
