@@ -11,7 +11,7 @@ BENCH_TIME ?= 10x
 BENCH_COUNT ?= 3
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build test race race-serve lint inline-check verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke serve
+.PHONY: build test race race-serve lint inline-check fuzz-smoke verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke serve
 
 # Tier-1 verification (ROADMAP.md): build + tests, then the race detector
 # and static checks. The experiment harness fans simulations out onto a
@@ -20,9 +20,10 @@ BENCH_TOLERANCE ?= 0.10
 # on the job service, durable store, and fleet layer, whose concurrency
 # (worker pool, queue, leases, atomic same-key writers) is their whole
 # point. inline-check fails verify when a replacement kernel on the cache
-# access path stops inlining. bench-gate fails verify when the quick
-# benchmarks regress >10% against BENCH_sim.json.
-verify: build test race race-serve lint inline-check scenarios loadgen-smoke bench-gate
+# access path stops inlining. fuzz-smoke runs each native fuzz target for
+# a bounded time. bench-gate fails verify when the quick benchmarks regress
+# >10% against BENCH_sim.json.
+verify: build test race race-serve lint inline-check fuzz-smoke scenarios loadgen-smoke bench-gate
 
 build:
 	$(GO) build ./...
@@ -66,6 +67,15 @@ lint:
 # test.
 inline-check:
 	GO=$(GO) sh scripts/inline-check.sh
+
+# fuzz-smoke: each native fuzz target for 10 s. The trace readers parse
+# files from outside the process; every input must give an error or
+# records that round-trip byte for byte through the writers. A failing
+# input is saved under the package's testdata/fuzz/ and replays as a
+# regression case in plain `go test`. go test fuzzes one target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/trace/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

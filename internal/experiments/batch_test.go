@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -203,5 +204,42 @@ func TestSweepBatchedDedupsBaseline(t *testing.T) {
 		if sr.normWS[si][0] != 1 {
 			t.Errorf("LRU normalized WS = %v, want exactly 1 (same run as baseline)", sr.normWS[si][0])
 		}
+	}
+}
+
+// TestSweepBatchedLanesAndMixesMatchSerial: with one spec on 2-core mixes
+// a batch has 4 lanes (two alone, the LRU baseline, the spec), so a budget
+// of 8 gives each batch 4 lane workers and runs 2 mixes at once — both
+// parallelism levels in use. The sweep must be reflect.DeepEqual to the
+// serial one.
+func TestSweepBatchedLanesAndMixesMatchSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep determinism test is not -short")
+	}
+	cfg, mixes, _ := sweepFixture()
+	specs := []policies.Spec{{Name: "hawkeye", Drishti: true}}
+	if len(mixes) < 2 {
+		t.Fatalf("fixture has %d mixes; the mix pool needs two", len(mixes))
+	}
+
+	ResetCache()
+	defer ResetCache()
+	if lanes := batchLanes(cfg, mixes[0], specs); lanes != 4 {
+		t.Fatalf("a 2-core batch with one spec has %d lanes, want 4", lanes)
+	}
+	if lw, par := splitBudget(8, 0, 4, len(mixes)); lw != 4 || par != 2 {
+		t.Fatalf("budget 8 split into %d lane workers × %d mixes, want 4 × 2", lw, par)
+	}
+	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("serial sweep: %v", err)
+	}
+	ResetCache()
+	par, err := runSweep(cfg, mixes, specs, Params{Parallelism: 8})
+	if err != nil {
+		t.Fatalf("sweep at Parallelism 8: %v", err)
+	}
+	if !reflect.DeepEqual(par, serial) {
+		t.Errorf("sweep with lane and mix pools differs from the serial sweep")
 	}
 }

@@ -44,21 +44,24 @@ type Params struct {
 	Context context.Context
 
 	// Parallelism bounds how many simulations run concurrently: sweeps
-	// split it between concurrent mixes and the lanes of each mix's
-	// lockstep batch (see LaneWorkers). 0 means GOMAXPROCS. Results are
-	// bit-identical at every setting; 1 forces the serial path.
+	// split it between the lanes of each mix's lockstep batch and
+	// concurrent mixes, lanes first (see LaneWorkers). 0 means GOMAXPROCS.
+	// Results are bit-identical at every setting; 1 forces the serial path.
 	Parallelism int
 
 	// LaneWorkers bounds concurrent lane execution inside each batched
 	// mix (sim.Config.LaneWorkers). The two parallelism levels compose
 	// multiplicatively — concurrent mixes × lane workers goroutines run
 	// simulations at once — so batched sweeps keep their product within
-	// the Parallelism budget: 0 (the default) derives lane workers as
-	// Parallelism / concurrent-mixes (surplus budget flows to lanes once
-	// the mix pool is saturated), while an explicit value claims its share
-	// and shrinks the mix pool to Parallelism / LaneWorkers instead.
-	// Results are bit-identical at every setting; DRISHTI_LANE_WORKERS
-	// overrides the default.
+	// the Parallelism budget. 0 (the default) gives lanes the budget
+	// first: lane workers = min(Parallelism, the largest lane count among
+	// the sweep's batches), and concurrent mixes = Parallelism / lane
+	// workers, at least one. Each batch in flight holds its own shared
+	// streams and lane machines, so this keeps as few in flight as the
+	// budget allows. An explicit value claims its share the same way and
+	// the mix pool gets Parallelism / LaneWorkers. Results are
+	// bit-identical at every setting; DRISHTI_LANE_WORKERS overrides the
+	// default.
 	LaneWorkers int
 
 	// Logger receives the structured run log (one line per sweep cell with

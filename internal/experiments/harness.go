@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -118,9 +119,10 @@ type sweepResult struct {
 // alone calibration lanes and the LRU baseline lane (both skipped when the
 // mix's eval is already cached) ride with the policy lanes over a single
 // shared generation of the access streams, so workload generation is paid
-// once per mix instead of once per run. Whole mixes run on a bounded pool;
-// every lane is an independent deterministic simulation, so results are
-// bit-identical at every parallelism.
+// once per mix instead of once per run. Each batch's lanes run on a pool of
+// lane workers and whole mixes on a pool sized by what the lanes leave of
+// the Parallel() budget; every lane is an independent deterministic
+// simulation, so results are bit-identical at every parallelism.
 //
 // On failure the sweep stops dispatching new mixes and returns the error
 // of the lowest failing mix — mixes are dispatched in order, so every mix
@@ -142,26 +144,11 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 	log := p.logger()
 	ctx := p.ctx()
 	p.Progress.AddTotal(len(mixes) * len(specs))
-	par := p.Parallel()
-	if par > len(mixes) {
-		par = len(mixes)
+	lanes := 0
+	for _, mix := range mixes {
+		lanes = max(lanes, batchLanes(cfg, mix, specs))
 	}
-	// Compose the two parallelism levels so concurrent mixes × lane
-	// workers stays within the Parallel() budget: by default the surplus
-	// budget left after the mix pool flows to each batch's lanes; an
-	// explicit Params.LaneWorkers claims its share and the mix pool
-	// shrinks instead. Purely a scheduling split — results are
-	// bit-identical at every combination.
-	lw := p.LaneWorkers
-	if lw <= 0 {
-		if lw = p.Parallel() / par; lw < 1 {
-			lw = 1
-		}
-	} else if room := p.Parallel() / lw; par > room {
-		if par = room; par < 1 {
-			par = 1
-		}
-	}
+	lw, par := splitBudget(p.Parallel(), p.LaneWorkers, lanes, len(mixes))
 	cfg.LaneWorkers = lw // excluded from Key(): no cache identity drift
 	runOne := func(mi int) error {
 		mix := mixes[mi]
@@ -234,6 +221,40 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 		return nil, firstErr
 	}
 	return sr, nil
+}
+
+// splitBudget divides a sweep's parallelism budget between the lane
+// workers of each batch (lw) and concurrent batches (par), lanes first:
+// every batch in flight holds its own shared stream windows and lane
+// machines, while the lanes of one batch share them, so memory follows
+// par. By default lw is the budget, capped at lanes, the largest lane
+// count among the sweep's batches; an explicit laneWorkers claims its
+// share instead. par takes what lw leaves, at least one and at most the
+// mix count. Purely a scheduling split: results are bit-identical at
+// every combination.
+func splitBudget(budget, laneWorkers, lanes, mixes int) (lw, par int) {
+	lw = laneWorkers
+	if lw <= 0 {
+		lw = max(1, min(budget, lanes))
+	}
+	return lw, max(1, min(mixes, budget/lw))
+}
+
+// batchLanes returns how many lanes runBatchedMix will run for mix: one
+// per spec, plus per-core alone lanes and an LRU baseline lane (unless LRU
+// is among the specs) when the mix's eval is not cached yet.
+func batchLanes(cfg sim.Config, mix workload.Mix, specs []policies.Spec) int {
+	base := cfg
+	base.Policy = policies.Spec{Name: "lru"}
+	n := len(specs)
+	if _, cached := evalCache.Get(cfgKey(base, mix)); cached {
+		return n
+	}
+	n += cfg.Cores
+	if !slices.ContainsFunc(specs, func(s policies.Spec) bool { return s.Key() == base.Policy.Key() }) {
+		n++
+	}
+	return n
 }
 
 // runBatchedMix runs one mix's lanes — per-core alone calibration and the

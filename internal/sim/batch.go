@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,8 +65,10 @@ import (
 // private per lane, and the shared stream window is made strictly
 // read-only for the rotation by materializing it up to the window limits
 // at the barrier (Stream.Ensure / expStream.ensure). runLockstep
-// therefore fans the rotation's lanes onto a bounded worker pool
-// (Config.LaneWorkers, default min(K, GOMAXPROCS)) and merges outcomes —
+// therefore fans the rotation's lanes, lanes with more active cores
+// first, onto a bounded worker pool (Config.LaneWorkers, default
+// min(K, GOMAXPROCS)), which also materializes the per-core streams at
+// each barrier, one core per task, and it merges outcomes —
 // progress, completion, errors, buffered telemetry — in deterministic
 // lane order at the barrier, so results and telemetry bytes are identical
 // at every worker count (the workers-sweep determinism test pins this).
@@ -243,14 +246,14 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 		}
 		if tier2 {
 			exps[c] = newExpStream(base, c, g)
-			exps[c].phases = po
 		} else {
 			raws[c] = workload.NewStream(g, 0)
 		}
 	}
 	if po != nil {
-		// Stream construction only; the bulk of generation happens lazily
-		// inside lane stepping and is covered by lane-run/private-replay.
+		// Stream construction only; records are generated at the barriers
+		// (runLockstep's ensure), under "barrier" after the first rotation
+		// and, on tier 2, also under "private-replay".
 		po.ObservePhase("workload-gen", -1, time.Since(genStart))
 	}
 
@@ -451,12 +454,19 @@ func (ln *batchLane) advance(i int, w *laneWorker, po PhaseObserver) laneOutcome
 // worker count and the outcomes — progress OR, completion, the
 // lowest-lane error, buffered epochs — merge in lane order at the
 // barrier. The rotation sequence, and with it the deadlock-breaker
-// growth path, is therefore identical at every worker setting.
+// growth path, is therefore identical at every worker setting. The pool
+// takes lanes with more active cores first (ties in lane order), so the
+// long mix lanes start at once and the short alone lanes fill in behind
+// them. The same pool materializes the per-core streams at each barrier,
+// one task per core: no lane runs then, and each core's stream is
+// independent of the others.
 //
 // When po is non-nil, per-lane run time is reported per rotation
-// ("lane-run", from the executing goroutine), barrier time once at the
-// end ("barrier"), and each deadlock-breaker growth as a zero-duration
-// "window-grow"; timing wraps existing work and never alters it.
+// ("lane-run", from the executing goroutine), tier-2 expansion time summed
+// over cores at every materialization ("private-replay"), barrier time
+// once at the end ("barrier"), and each deadlock-breaker growth as a
+// zero-duration "window-grow"; the shared phases are reported from the
+// driver, and timing wraps existing work and never alters it.
 func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Stream, exps []*expStream, po PhaseObserver, workers int, bufs []*epochBuffer, window uint64) error {
 	cores := 0
 	if raws != nil {
@@ -467,20 +477,6 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 	limits := make([]uint64, cores)
 	for c := range limits {
 		limits[c] = window
-	}
-
-	// ensure materializes every shared stream up to its window limit so
-	// the following lane phase never mutates shared state — the invariant
-	// that makes concurrent lanes legal. Driver-only, like Release.
-	ensure := func() {
-		for c := 0; c < cores; c++ {
-			if raws != nil && raws[c] != nil {
-				raws[c].Ensure(limits[c])
-			}
-			if exps != nil && exps[c] != nil {
-				exps[c].ensure(limits[c])
-			}
-		}
 	}
 
 	// drainTo forwards buffered lane telemetry to the real sinks, in lane
@@ -518,7 +514,7 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 
 	outs := make([]laneOutcome, len(lanes))
 	var (
-		tasks chan int
+		tasks chan func(*laneWorker)
 		wg    sync.WaitGroup
 	)
 	// One laneWorker per lane-running goroutine: pool[0] is the driver's
@@ -531,16 +527,69 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 			pool[w].drop()
 		}
 	}()
+	var order []int // the pool's lane dispatch order
 	if workers > 1 {
-		tasks = make(chan int, len(lanes))
+		// Lanes with more active cores (the long mix lanes) go first, ties
+		// in lane order, so the short alone lanes fill in behind them
+		// instead of leaving a long lane as the rotation's tail.
+		order = make([]int, len(lanes))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return len(lanes[b].cores) - len(lanes[a].cores) })
+		// Room for one phase's sends, a lane or a core each, so the
+		// driver never blocks handing them out.
+		tasks = make(chan func(*laneWorker), max(len(lanes), cores))
 		defer close(tasks)
 		for w := range pool {
 			go func() {
-				for i := range tasks {
-					outs[i] = schedule(i, &pool[w])
+				for task := range tasks {
+					task(&pool[w])
 					wg.Done()
 				}
 			}()
+		}
+	}
+
+	// ensure materializes every shared stream up to its window limit so
+	// the following lane phase never mutates shared state — the invariant
+	// that makes concurrent lanes legal. With a pool, one task per core;
+	// replay holds each core's tier-2 expansion time for the driver to
+	// report.
+	replay := make([]time.Duration, cores)
+	ensureCore := func(c int) {
+		if raws != nil && raws[c] != nil {
+			raws[c].Ensure(limits[c])
+		}
+		if exps != nil && exps[c] != nil {
+			var t0 time.Time
+			if po != nil {
+				t0 = time.Now()
+			}
+			exps[c].ensure(limits[c])
+			if po != nil {
+				replay[c] = time.Since(t0)
+			}
+		}
+	}
+	ensure := func() {
+		if workers > 1 {
+			for c := 0; c < cores; c++ {
+				wg.Add(1)
+				tasks <- func(*laneWorker) { ensureCore(c) }
+			}
+			wg.Wait()
+		} else {
+			for c := 0; c < cores; c++ {
+				ensureCore(c)
+			}
+		}
+		if po != nil && exps != nil {
+			var d time.Duration
+			for _, r := range replay {
+				d += r
+			}
+			po.ObservePhase("private-replay", -1, d)
 		}
 	}
 
@@ -551,12 +600,12 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 		// Lane phase: every unfinished lane runs to its window edge against
 		// the frozen window.
 		if workers > 1 {
-			for i, ln := range lanes {
-				if ln.done {
+			for _, i := range order {
+				if lanes[i].done {
 					continue
 				}
 				wg.Add(1)
-				tasks <- i
+				tasks <- func(w *laneWorker) { outs[i] = schedule(i, w) }
 			}
 			wg.Wait()
 		} else {
@@ -735,7 +784,6 @@ type expStream struct {
 	chunks []*expChunk
 	free   []*expChunk
 	done   bool
-	phases PhaseObserver // optional "private-replay" wall-time reporting
 }
 
 func newExpStream(cfg Config, coreID int, src trace.Reader) *expStream {
@@ -758,10 +806,6 @@ func newExpStream(cfg Config, coreID int, src trace.Reader) *expStream {
 func (e *expStream) fill() bool {
 	if e.done {
 		return false
-	}
-	if e.phases != nil {
-		t0 := time.Now()
-		defer func() { e.phases.ObservePhase("private-replay", -1, time.Since(t0)) }()
 	}
 	var ck *expChunk
 	if n := len(e.free); n > 0 {

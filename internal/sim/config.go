@@ -100,14 +100,17 @@ type Config struct {
 	Phases PhaseObserver
 
 	// LaneWorkers bounds how many lanes of a batched run (RunBatch) execute
-	// concurrently between lockstep barriers. 0 selects the default —
-	// DRISHTI_LANE_WORKERS if set, else GOMAXPROCS, clamped to the lane
-	// count; 1 forces the serial rotation. Results, and telemetry bytes on
-	// a shared sink, are bit-identical at every setting (lanes share only
-	// read-only window state between barriers and merge in lane order), so
-	// this is purely a wall-clock knob and is excluded from Key(). It
-	// composes multiplicatively with sweep-level parallelism: keep
-	// cells × lanes within the host's core budget (see README Performance).
+	// concurrently between lockstep barriers; the same workers materialize
+	// the per-core shared streams at each barrier, one core per task. 0
+	// selects the default — DRISHTI_LANE_WORKERS if set, else GOMAXPROCS,
+	// clamped to the lane count; 1 forces the serial rotation. Results, and
+	// telemetry bytes on a shared sink, are bit-identical at every setting
+	// (lanes share only read-only window state between barriers and merge
+	// in lane order), so this is purely a wall-clock knob and is excluded
+	// from Key(). It composes multiplicatively with sweep-level
+	// parallelism: keep cells × lanes within the host's core budget. The
+	// experiment harness gives lanes the budget before concurrent mixes
+	// (see README Performance).
 	LaneWorkers int
 }
 

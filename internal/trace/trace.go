@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Rec is one memory instruction plus its preceding non-memory instructions.
@@ -168,7 +169,11 @@ func Read(r io.Reader) ([]Rec, error) {
 	if n > maxRecs {
 		return nil, fmt.Errorf("trace: implausible record count %d", n)
 	}
-	recs := make([]Rec, 0, n)
+	// The count is untrusted until the records behind it are read, so it
+	// only caps the initial capacity: a header claiming 2^30 records would
+	// otherwise reserve 24 GiB before the first record is decoded.
+	const maxInitialCap = 1 << 12
+	recs := make([]Rec, 0, min(n, maxInitialCap))
 	var prevPC, prevAddr uint64
 	for i := uint64(0); i < n; i++ {
 		dpc, err := binary.ReadUvarint(br)
@@ -182,6 +187,9 @@ func Read(r io.Reader) ([]Rec, error) {
 		flags, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d flags: %w", i, err)
+		}
+		if gap := flags >> 1; gap > math.MaxUint32 {
+			return nil, fmt.Errorf("trace: record %d gap %d overflows uint32", i, gap)
 		}
 		prevPC += uint64(unzigzag(dpc))
 		prevAddr += uint64(unzigzag(daddr))

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -172,5 +176,59 @@ func TestCompression(t *testing.T) {
 	}
 	if perRec := buf.Len() / len(recs); perRec > 6 {
 		t.Fatalf("sequential trace uses %d bytes/record; expected tight delta coding", perRec)
+	}
+}
+
+// header returns a binary trace's magic and record count, with no records.
+func header(n uint64) []byte {
+	b := append([]byte(nil), magic[:]...)
+	return binary.AppendUvarint(b, n)
+}
+
+// A header's record count is untrusted: a file claiming the maximum 2^30
+// records but holding none must fail after allocating little, not reserve
+// room for every claimed record up front.
+func TestReadHugeCountAllocatesLittle(t *testing.T) {
+	data := header(1 << 30)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	recs, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a count with no records behind it was accepted (%d records)", len(recs))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("Read allocated %d bytes for a record-less file claiming 2^30 records", got)
+	}
+}
+
+// A flags varint carries the gap above its write bit; a gap that does not
+// fit Rec.Gap is an error, not a silently truncated record.
+func TestReadRejectsGapOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		gap uint64
+		ok  bool
+	}{
+		{math.MaxUint32, true},
+		{math.MaxUint32 + 1, false},
+		{1 << 62, false},
+	} {
+		data := header(1)
+		data = binary.AppendUvarint(data, 0)         // pc delta
+		data = binary.AppendUvarint(data, 0)         // addr delta
+		data = binary.AppendUvarint(data, tc.gap<<1) // flags
+		recs, err := Read(bytes.NewReader(data))
+		if tc.ok {
+			if err != nil || len(recs) != 1 || uint64(recs[0].Gap) != tc.gap {
+				t.Errorf("gap %d: got %+v, %v", tc.gap, recs, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("gap %d accepted as %+v", tc.gap, recs)
+		} else if !strings.Contains(err.Error(), "gap") {
+			t.Errorf("gap %d: error %q does not name the gap", tc.gap, err)
+		}
 	}
 }
