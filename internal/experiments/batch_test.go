@@ -224,7 +224,7 @@ func TestSweepBatchedLanesAndMixesMatchSerial(t *testing.T) {
 
 	ResetCache()
 	defer ResetCache()
-	if lanes := batchLanes(cfg, mixes[0], specs); lanes != 4 {
+	if lanes := len(planBatch(cfg, mixes[0], specs).variants); lanes != 4 {
 		t.Fatalf("a 2-core batch with one spec has %d lanes, want 4", lanes)
 	}
 	if lw, par := splitBudget(8, 0, 4, len(mixes)); lw != 4 || par != 2 {

@@ -54,14 +54,16 @@ type Params struct {
 	// multiplicatively — concurrent mixes × lane workers goroutines run
 	// simulations at once — so batched sweeps keep their product within
 	// the Parallelism budget. 0 (the default) gives lanes the budget
-	// first: lane workers = min(Parallelism, the largest lane count among
-	// the sweep's batches), and concurrent mixes = Parallelism / lane
-	// workers, at least one. Each batch in flight holds its own shared
-	// streams and lane machines, so this keeps as few in flight as the
-	// budget allows. An explicit value claims its share the same way and
-	// the mix pool gets Parallelism / LaneWorkers. Results are
-	// bit-identical at every setting; DRISHTI_LANE_WORKERS overrides the
-	// default.
+	// first, up to two lane workers (the largest count at which one batch
+	// was measured to keep up with two concurrent ones), and never more
+	// than the largest lane count among the sweep's batches; concurrent
+	// mixes = Parallelism / lane workers, at least one, and when there are
+	// fewer mixes than that the lanes take what they leave. Each batch in
+	// flight holds its own shared streams and lane machines, so this
+	// keeps fewer in flight than mixes first would. An explicit value
+	// claims its share the same way and the mix pool gets Parallelism /
+	// LaneWorkers. Results are bit-identical at every setting;
+	// DRISHTI_LANE_WORKERS overrides the default.
 	LaneWorkers int
 
 	// Logger receives the structured run log (one line per sweep cell with

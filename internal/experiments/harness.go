@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 
@@ -146,7 +145,7 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 	p.Progress.AddTotal(len(mixes) * len(specs))
 	lanes := 0
 	for _, mix := range mixes {
-		lanes = max(lanes, batchLanes(cfg, mix, specs))
+		lanes = max(lanes, len(planBatch(cfg, mix, specs).variants))
 	}
 	lw, par := splitBudget(p.Parallel(), p.LaneWorkers, lanes, len(mixes))
 	cfg.LaneWorkers = lw // excluded from Key(): no cache identity drift
@@ -223,76 +222,81 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 	return sr, nil
 }
 
+// sweepLaneWorkers caps the default lane workers per batch. At 2 lane
+// workers one batch in flight matched two batches of one lane worker each
+// in sweep throughput (EXPERIMENTS.md §1.17); beyond 2 a batch's lane
+// speedup is Amdahl-bounded and unmeasured, while concurrent mixes scale
+// close to linearly, so the budget past it runs further mixes.
+const sweepLaneWorkers = 2
+
 // splitBudget divides a sweep's parallelism budget between the lane
 // workers of each batch (lw) and concurrent batches (par), lanes first:
 // every batch in flight holds its own shared stream windows and lane
 // machines, while the lanes of one batch share them, so memory follows
-// par. By default lw is the budget, capped at lanes, the largest lane
-// count among the sweep's batches; an explicit laneWorkers claims its
-// share instead. par takes what lw leaves, at least one and at most the
-// mix count. Purely a scheduling split: results are bit-identical at
-// every combination.
+// par. By default lw is the budget, capped at sweepLaneWorkers and at
+// lanes, the largest lane count among the sweep's batches; an explicit
+// laneWorkers claims its share instead. par takes what lw leaves, at
+// least one and at most the mix count, and a default lw then takes what
+// par leaves, so a sweep with fewer mixes than that keeps the budget
+// busy. Purely a scheduling split: results are bit-identical at every
+// combination.
 func splitBudget(budget, laneWorkers, lanes, mixes int) (lw, par int) {
-	lw = laneWorkers
-	if lw <= 0 {
-		lw = max(1, min(budget, lanes))
+	if laneWorkers > 0 {
+		return laneWorkers, max(1, min(mixes, budget/laneWorkers))
 	}
-	return lw, max(1, min(mixes, budget/lw))
+	lw = max(1, min(budget, lanes, sweepLaneWorkers))
+	par = max(1, min(mixes, budget/lw))
+	return max(lw, min(budget/par, lanes)), par
 }
 
-// batchLanes returns how many lanes runBatchedMix will run for mix: one
-// per spec, plus per-core alone lanes and an LRU baseline lane (unless LRU
-// is among the specs) when the mix's eval is not cached yet.
-func batchLanes(cfg sim.Config, mix workload.Mix, specs []policies.Spec) int {
-	base := cfg
-	base.Policy = policies.Spec{Name: "lru"}
-	n := len(specs)
-	if _, cached := evalCache.Get(cfgKey(base, mix)); cached {
-		return n
-	}
-	n += cfg.Cores
-	if !slices.ContainsFunc(specs, func(s policies.Spec) bool { return s.Key() == base.Policy.Key() }) {
-		n++
-	}
-	return n
+// mixBatch is one mix's lockstep batch as runBatchedMix runs it: the
+// lanes, and where their results land. When ev is nil the first cfg.Cores
+// lanes are the alone lanes, core by core.
+type mixBatch struct {
+	evKey    string
+	ev       *mixEval // the cached eval, or nil when the batch computes it
+	variants []sim.Variant
+	baseIdx  int   // the LRU baseline lane; -1 when ev is cached
+	specIdx  []int // lane of each spec
 }
 
-// runBatchedMix runs one mix's lanes — per-core alone calibration and the
-// LRU baseline when the eval is not already cached, plus one lane per
-// policy spec — as a single lockstep batch, and assembles its mixEval and
-// per-spec policyOutcomes. Each lane is bit-identical to the same
-// configuration run on its own (sim.RunBatchContext). When LRU is itself
-// one of the specs its lane doubles as the baseline, so the baseline is
-// simulated once, not twice.
-func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs []policies.Spec) (*mixEval, []*policyOutcome, error) {
+// planBatch lays out mix's lanes: per-core alone calibration and the LRU
+// baseline when the eval is not cached, plus one lane per policy spec.
+// When LRU is itself one of the specs its lane doubles as the baseline.
+func planBatch(cfg sim.Config, mix workload.Mix, specs []policies.Spec) mixBatch {
 	lru := policies.Spec{Name: "lru"}
 	base := cfg
 	base.Policy = lru
-	evKey := cfgKey(base, mix)
-	ev, cached := evalCache.Get(evKey)
-
-	var variants []sim.Variant
-	aloneIdx := -1
-	if !cached {
-		aloneIdx = len(variants)
+	b := mixBatch{evKey: cfgKey(base, mix), baseIdx: -1, specIdx: make([]int, len(specs))}
+	ev, cached := evalCache.Get(b.evKey)
+	if cached {
+		b.ev = ev
+	} else {
 		for c := 0; c < cfg.Cores; c++ {
-			variants = append(variants, sim.Variant{Policy: lru, Alone: true, AloneCore: c})
+			b.variants = append(b.variants, sim.Variant{Policy: lru, Alone: true, AloneCore: c})
 		}
 	}
-	baseIdx := -1
-	specIdx := make([]int, len(specs))
 	for si, spec := range specs {
-		specIdx[si] = len(variants)
-		variants = append(variants, sim.Variant{Policy: spec})
-		if baseIdx < 0 && spec.Key() == lru.Key() {
-			baseIdx = specIdx[si] // the LRU cell doubles as the baseline
+		b.specIdx[si] = len(b.variants)
+		b.variants = append(b.variants, sim.Variant{Policy: spec})
+		if !cached && b.baseIdx < 0 && spec.Key() == lru.Key() {
+			b.baseIdx = b.specIdx[si] // the LRU cell doubles as the baseline
 		}
 	}
-	if !cached && baseIdx < 0 {
-		baseIdx = len(variants)
-		variants = append(variants, sim.Variant{Policy: lru})
+	if !cached && b.baseIdx < 0 {
+		b.baseIdx = len(b.variants)
+		b.variants = append(b.variants, sim.Variant{Policy: lru})
 	}
+	return b
+}
 
+// runBatchedMix runs one mix's lanes (planBatch) as a single lockstep
+// batch and assembles its mixEval and per-spec policyOutcomes. Each lane
+// is bit-identical to the same configuration run on its own
+// (sim.RunBatchContext).
+func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs []policies.Spec) (*mixEval, []*policyOutcome, error) {
+	b := planBatch(cfg, mix, specs)
+	variants := b.variants
 	if cfg.TelemetryEpoch > 0 && cfg.TelemetrySink != nil {
 		// Per-lane attribution: each lane's epochs carry its 1-based lane
 		// index and its cell's run ID, so a shared sink never collapses
@@ -308,15 +312,16 @@ func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs 
 		return nil, nil, fmt.Errorf("batched cells for %s: %w", mix.Name, err)
 	}
 
-	if !cached {
+	ev := b.ev
+	if ev == nil {
 		alone := make([]float64, cfg.Cores)
 		for c := 0; c < cfg.Cores; c++ {
-			alone[c] = results[aloneIdx+c].PerCore[c].IPC
+			alone[c] = results[c].PerCore[c].IPC
 			if alone[c] <= 0 {
 				return nil, nil, fmt.Errorf("mix %s core %d: zero alone IPC", mix.Name, c)
 			}
 		}
-		baseRes := results[baseIdx]
+		baseRes := results[b.baseIdx]
 		m, err := metrics.Compute(baseRes.IPCs(), alone)
 		if err != nil {
 			return nil, nil, err
@@ -325,7 +330,7 @@ func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs 
 		// Publish through the cache's singleflight. Concurrent batches of
 		// the same mix each simulate their own baseline; whichever
 		// publishes first wins, and the values are bit-identical.
-		ev, err = evalCache.Do(evKey, func() (*mixEval, error) { return fresh, nil })
+		ev, err = evalCache.Do(b.evKey, func() (*mixEval, error) { return fresh, nil })
 		if err != nil {
 			return nil, nil, err
 		}
@@ -333,7 +338,7 @@ func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs 
 
 	outs := make([]*policyOutcome, len(specs))
 	for si := range specs {
-		res := results[specIdx[si]]
+		res := results[b.specIdx[si]]
 		m, err := metrics.Compute(res.IPCs(), ev.alone)
 		if err != nil {
 			return nil, nil, err

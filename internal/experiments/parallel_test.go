@@ -215,21 +215,26 @@ func TestCachesBounded(t *testing.T) {
 }
 
 // TestSplitBudget pins the sweep's parallelism split: lanes of one batch
-// get the budget first, concurrent mixes what is left, and an explicit
-// lane-worker count claims its share the same way.
+// get the budget first, up to sweepLaneWorkers, concurrent mixes what is
+// left, and lanes again what the mixes leave; an explicit lane-worker
+// count claims its share and is kept.
 func TestSplitBudget(t *testing.T) {
 	for _, tc := range []struct {
 		budget, laneWorkers, lanes, mixes int
 		lw, par                           int
 	}{
 		{budget: 2, lanes: 37, mixes: 6, lw: 2, par: 1}, // fig13 32-core batch on 2 CPUs
-		{budget: 8, lanes: 4, mixes: 2, lw: 4, par: 2},  // small batches: both levels
+		{budget: 8, lanes: 37, mixes: 6, lw: 2, par: 4}, // budget past the cap runs mixes
+		{budget: 8, lanes: 4, mixes: 2, lw: 4, par: 2},  // too few mixes: lanes take the rest
 		{budget: 8, lanes: 4, mixes: 1, lw: 4, par: 1},  // no second mix to run
-		{budget: 8, lanes: 3, mixes: 9, lw: 3, par: 2},  // remainder left idle
+		{budget: 8, lanes: 3, mixes: 9, lw: 2, par: 4},
+		{budget: 3, lanes: 37, mixes: 6, lw: 3, par: 1}, // the odd CPU goes to lanes
+		{budget: 4, lanes: 1, mixes: 9, lw: 1, par: 4},  // one-lane batches
 		{budget: 1, lanes: 37, mixes: 6, lw: 1, par: 1}, // serial
 		{budget: 4, lanes: 0, mixes: 0, lw: 1, par: 1},  // empty sweep
 		{budget: 8, laneWorkers: 1, lanes: 37, mixes: 6, lw: 1, par: 6},
 		{budget: 8, laneWorkers: 2, lanes: 37, mixes: 6, lw: 2, par: 4},
+		{budget: 8, laneWorkers: 4, lanes: 4, mixes: 1, lw: 4, par: 1},
 		{budget: 2, laneWorkers: 4, lanes: 37, mixes: 6, lw: 4, par: 1}, // oversubscribed on purpose
 	} {
 		lw, par := splitBudget(tc.budget, tc.laneWorkers, tc.lanes, tc.mixes)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,10 +64,10 @@ import (
 // private per lane, and the shared stream window is made strictly
 // read-only for the rotation by materializing it up to the window limits
 // at the barrier (Stream.Ensure / expStream.ensure). runLockstep
-// therefore fans the rotation's lanes, lanes with more active cores
-// first, onto a bounded worker pool (Config.LaneWorkers, default
-// min(K, GOMAXPROCS)), which also materializes the per-core streams at
-// each barrier, one core per task, and it merges outcomes —
+// therefore fans the rotation's lanes onto a bounded worker pool
+// (Config.LaneWorkers, default min(K, GOMAXPROCS)), which also
+// materializes the per-core streams at each barrier, one core per task,
+// and it merges outcomes —
 // progress, completion, errors, buffered telemetry — in deterministic
 // lane order at the barrier, so results and telemetry bytes are identical
 // at every worker count (the workers-sweep determinism test pins this).
@@ -454,19 +453,17 @@ func (ln *batchLane) advance(i int, w *laneWorker, po PhaseObserver) laneOutcome
 // worker count and the outcomes — progress OR, completion, the
 // lowest-lane error, buffered epochs — merge in lane order at the
 // barrier. The rotation sequence, and with it the deadlock-breaker
-// growth path, is therefore identical at every worker setting. The pool
-// takes lanes with more active cores first (ties in lane order), so the
-// long mix lanes start at once and the short alone lanes fill in behind
-// them. The same pool materializes the per-core streams at each barrier,
-// one task per core: no lane runs then, and each core's stream is
-// independent of the others.
+// growth path, is therefore identical at every worker setting. The same
+// pool materializes the per-core streams at each barrier, one task per
+// core: no lane runs then, and each core's stream is independent of the
+// others.
 //
 // When po is non-nil, per-lane run time is reported per rotation
-// ("lane-run", from the executing goroutine), tier-2 expansion time summed
-// over cores at every materialization ("private-replay"), barrier time
-// once at the end ("barrier"), and each deadlock-breaker growth as a
-// zero-duration "window-grow"; the shared phases are reported from the
-// driver, and timing wraps existing work and never alters it.
+// ("lane-run", from the executing goroutine), the wall time of every
+// tier-2 materialization that expanded records ("private-replay"),
+// barrier time once at the end ("barrier"), and each deadlock-breaker
+// growth as a zero-duration "window-grow"; the shared phases are reported
+// from the driver, and timing wraps existing work and never alters it.
 func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Stream, exps []*expStream, po PhaseObserver, workers int, bufs []*epochBuffer, window uint64) error {
 	cores := 0
 	if raws != nil {
@@ -527,16 +524,7 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 			pool[w].drop()
 		}
 	}()
-	var order []int // the pool's lane dispatch order
 	if workers > 1 {
-		// Lanes with more active cores (the long mix lanes) go first, ties
-		// in lane order, so the short alone lanes fill in behind them
-		// instead of leaving a long lane as the rotation's tail.
-		order = make([]int, len(lanes))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortStableFunc(order, func(a, b int) int { return len(lanes[b].cores) - len(lanes[a].cores) })
 		// Room for one phase's sends, a lane or a core each, so the
 		// driver never blocks handing them out.
 		tasks = make(chan func(*laneWorker), max(len(lanes), cores))
@@ -553,26 +541,23 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 
 	// ensure materializes every shared stream up to its window limit so
 	// the following lane phase never mutates shared state — the invariant
-	// that makes concurrent lanes legal. With a pool, one task per core;
-	// replay holds each core's tier-2 expansion time for the driver to
-	// report.
-	replay := make([]time.Duration, cores)
+	// that makes concurrent lanes legal. With a pool, one task per core.
+	// On tier 2 the driver reports ensure's wall time as "private-replay"
+	// when any core expanded records.
+	var expanded atomic.Bool
 	ensureCore := func(c int) {
 		if raws != nil && raws[c] != nil {
 			raws[c].Ensure(limits[c])
 		}
-		if exps != nil && exps[c] != nil {
-			var t0 time.Time
-			if po != nil {
-				t0 = time.Now()
-			}
-			exps[c].ensure(limits[c])
-			if po != nil {
-				replay[c] = time.Since(t0)
-			}
+		if exps != nil && exps[c] != nil && exps[c].ensure(limits[c]) {
+			expanded.Store(true)
 		}
 	}
 	ensure := func() {
+		var t0 time.Time
+		if po != nil {
+			t0 = time.Now()
+		}
 		if workers > 1 {
 			for c := 0; c < cores; c++ {
 				wg.Add(1)
@@ -584,12 +569,8 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 				ensureCore(c)
 			}
 		}
-		if po != nil && exps != nil {
-			var d time.Duration
-			for _, r := range replay {
-				d += r
-			}
-			po.ObservePhase("private-replay", -1, d)
+		if expanded.Swap(false) && po != nil {
+			po.ObservePhase("private-replay", -1, time.Since(t0))
 		}
 	}
 
@@ -600,8 +581,8 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 		// Lane phase: every unfinished lane runs to its window edge against
 		// the frozen window.
 		if workers > 1 {
-			for _, i := range order {
-				if lanes[i].done {
+			for i, ln := range lanes {
+				if ln.done {
 					continue
 				}
 				wg.Add(1)
@@ -877,13 +858,16 @@ func (e *expStream) expand(ck *expChunk, rec trace.Rec) {
 }
 
 // ensure expands records until every position below pos is replayable (or
-// the source is degenerate). Driver-only, like workload.Stream.Ensure:
-// after ensure(pos), lane reads strictly below pos never mutate the
-// stream, so they are safe from concurrent goroutines until the next
-// ensure/release.
-func (e *expStream) ensure(pos uint64) {
+// the source is degenerate) and reports whether it expanded any. Like
+// workload.Stream.Ensure it runs at a barrier, on one goroutine per
+// stream, while no cursor reads: after ensure(pos), lane reads strictly
+// below pos never mutate the stream, so they are safe from concurrent
+// goroutines until the next ensure/release.
+func (e *expStream) ensure(pos uint64) bool {
+	n := e.next
 	for e.next < pos && e.fill() {
 	}
+	return e.next != n
 }
 
 // release recycles chunks wholly below min.

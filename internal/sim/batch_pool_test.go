@@ -12,9 +12,9 @@ import (
 )
 
 // This file pins the lane pool's barrier work: with more than one lane
-// worker the per-core shared streams are materialized on the pool and
-// lanes are handed out longest first, and neither changes a result or
-// moves a shared phase off the driver goroutine.
+// worker the per-core shared streams are materialized on the pool, which
+// neither changes a result nor moves a shared phase off the driver
+// goroutine.
 
 // goroutineID returns the calling goroutine's runtime ID, read from the
 // first line of its stack ("goroutine N [running]:").
@@ -36,9 +36,10 @@ type driverCheck struct {
 	mu     sync.Mutex
 	seen   map[string]bool
 	stray  []string
+	replay time.Duration // summed "private-replay"
 }
 
-func (d *driverCheck) ObservePhase(phase string, lane int, _ time.Duration) {
+func (d *driverCheck) ObservePhase(phase string, lane int, dur time.Duration) {
 	if lane >= 0 {
 		return
 	}
@@ -46,18 +47,21 @@ func (d *driverCheck) ObservePhase(phase string, lane int, _ time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.seen[phase] = true
+	if phase == "private-replay" {
+		d.replay += dur
+	}
 	if !onDriver {
 		d.stray = append(d.stray, phase)
 	}
 }
 
 // TestBatchWorkersParallelEnsureMatchesSerial: a batch whose barriers
-// materialize the shared streams on 2 or 3 lane workers, and whose pool
-// takes the full-mix lanes before the alone lanes listed ahead of them,
-// is reflect.DeepEqual to the serial rotation on both sharing tiers. The
-// one-chunk window makes every lane pause at many barriers, and every
-// shared phase reaches the observer from the goroutine that called
-// RunBatchContext.
+// materialize the shared streams on 2 or 3 lane workers is
+// reflect.DeepEqual to the serial rotation on both sharing tiers. The
+// one-chunk window makes every lane pause at many barriers, every shared
+// phase reaches the observer from the goroutine that called
+// RunBatchContext, and "private-replay", which is wall-clock time, adds
+// up to no more than the batch took.
 func TestBatchWorkersParallelEnsureMatchesSerial(t *testing.T) {
 	old := batchMemBudget
 	batchMemBudget = 1
@@ -75,7 +79,9 @@ func TestBatchWorkersParallelEnsureMatchesSerial(t *testing.T) {
 			c.LaneWorkers = workers
 			check := &driverCheck{driver: goroutineID(), seen: map[string]bool{}}
 			c.Phases = check
+			start := time.Now()
 			got, err := RunBatchContext(context.Background(), c, variants, mix)
+			wall := time.Since(start)
 			if err != nil {
 				t.Fatalf("tier2=%v workers=%d: %v", tier2, workers, err)
 			}
@@ -90,6 +96,10 @@ func TestBatchWorkersParallelEnsureMatchesSerial(t *testing.T) {
 			}
 			if check.seen["private-replay"] != tier2 {
 				t.Errorf("tier2=%v workers=%d: private-replay reported=%v", tier2, workers, check.seen["private-replay"])
+			}
+			if check.replay > wall {
+				t.Errorf("tier2=%v workers=%d: private-replay sums to %v, more than the batch's %v of wall time",
+					tier2, workers, check.replay, wall)
 			}
 			if want == nil {
 				want = got

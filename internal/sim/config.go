@@ -109,8 +109,8 @@ type Config struct {
 	// in lane order), so this is purely a wall-clock knob and is excluded
 	// from Key(). It composes multiplicatively with sweep-level
 	// parallelism: keep cells × lanes within the host's core budget. The
-	// experiment harness gives lanes the budget before concurrent mixes
-	// (see README Performance).
+	// experiment harness gives each batch's lanes the first two workers of
+	// its budget, then concurrent mixes (see README Performance).
 	LaneWorkers int
 }
 

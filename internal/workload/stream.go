@@ -25,10 +25,11 @@ const streamChunkLen = 2048
 //
 // Stream is not safe for unsynchronized concurrent mutation. Concurrent
 // batched lanes may read already-materialized records through their
-// cursors from several goroutines, provided the driver has called Ensure
-// up to every position the lanes may reach and calls Ensure/Release only
-// at barriers when no cursor is reading (the lockstep discipline in
-// sim.runLockstep).
+// cursors from several goroutines, provided Ensure has run up to every
+// position the lanes may reach, and Ensure/Release run only at barriers,
+// on one goroutine per stream, while no cursor is reading (the lockstep
+// discipline in sim.runLockstep, which ensures different streams on
+// different goroutines).
 type Stream struct {
 	src      *trace.LoopReader
 	chunkLen uint64 // a power of two
@@ -89,9 +90,10 @@ func (s *Stream) fill() bool {
 }
 
 // Ensure materializes records until every position below pos is readable
-// (or the source is degenerate). After Ensure(pos), cursor reads strictly
-// below pos never mutate the stream, so they are safe from concurrent
-// goroutines until the next Ensure/Release.
+// (or the source is degenerate). Call it at a barrier, from one goroutine
+// per stream, while no cursor reads. After Ensure(pos), cursor reads
+// strictly below pos never mutate the stream, so they are safe from
+// concurrent goroutines until the next Ensure/Release.
 func (s *Stream) Ensure(pos uint64) {
 	for s.next < pos && s.fill() {
 	}
