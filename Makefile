@@ -32,10 +32,11 @@ test:
 	$(GO) test ./...
 
 # race: the full suite under the race detector, then a second pass over
-# the lockstep-batch and batched-sweep tests with DRISHTI_LANE_WORKERS=2.
-# The second pass matters on small hosts: lane-worker defaults follow
-# GOMAXPROCS, so on a 1-CPU runner the plain -race run never schedules two
-# lanes concurrently and the parallel merge/telemetry paths go untested.
+# the lockstep-batch and batched-sweep tests at -cpu 2. The second pass
+# matters on small hosts: lane-worker defaults follow GOMAXPROCS, so on a
+# 1-CPU runner the plain -race run never schedules two lanes concurrently
+# and the parallel merge/telemetry paths go untested; at 2 Ps every batch
+# and sweep the pass runs with default lane workers gets two.
 # The third runs the serial loop's record feed at 1 and 2 Ps: one P
 # interleaves its producer and consumer goroutines, two run them in
 # parallel. It also runs the lane-lifecycle tests there: lanes built,
@@ -43,7 +44,7 @@ test:
 # lane matching a fresh run, and a lane that fails to build.
 race:
 	$(GO) test -race ./...
-	DRISHTI_LANE_WORKERS=2 $(GO) test -race \
+	$(GO) test -race -cpu 2 \
 		-run 'TestBatch|TestGoldenBatched|TestSweepBatched' \
 		./internal/sim/ ./internal/experiments/
 	$(GO) test -race -count 1 -cpu 1,2 \
@@ -54,11 +55,18 @@ race-serve:
 	$(GO) test -race -short ./internal/serve/... ./internal/store/ ./internal/dist/ ./internal/obs/trace/
 
 # lint: go vet plus a gofmt cleanliness check (fails listing unformatted
-# files; run `gofmt -w` on them to fix).
+# files; run `gofmt -w` on them to fix), and a check that non-test Go
+# under internal/ reads no environment variable: the simulator, service
+# and fleet are configured only by their callers. internal/cliconf (the
+# flag > env > default resolver) and internal/experiments (DefaultParams'
+# DRISHTI_* scale overrides, see bench_test.go) are exempt.
 lint:
 	$(GO) vet ./...
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' 'os\.(Getenv|LookupEnv)\b' internal/ \
+		| grep -vE '^internal/(cliconf|experiments)/'); if [ -n "$$out" ]; then \
+		echo "environment read outside internal/cliconf and internal/experiments:"; echo "$$out"; exit 1; fi
 
 # inline-check: build internal/repl and internal/cache with -gcflags=-m and
 # fail if LRU.touch, the LRU/SRRIP OnHit/OnFill/Victim callbacks or
@@ -69,8 +77,9 @@ inline-check:
 	GO=$(GO) sh scripts/inline-check.sh
 
 # fuzz-smoke: each native fuzz target for 10 s. The trace readers parse
-# files from outside the process; every input must give an error or
-# records that round-trip byte for byte through the writers. A failing
+# files from outside the process; every binary input must give an error
+# or re-encode to exactly its own bytes, every CSV input an error or
+# records that round-trip byte for byte through the CSV writer. A failing
 # input is saved under the package's testdata/fuzz/ and replays as a
 # regression case in plain `go test`. go test fuzzes one target per run.
 fuzz-smoke:

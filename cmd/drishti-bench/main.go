@@ -52,7 +52,6 @@ func run() int {
 		mixes      = cc.Int("mixes", "DRISHTI_MIXES", 4, "mixes per category")
 		seed       = cc.Uint64("seed", "DRISHTI_SEED", 1, "workload seed")
 		parallel   = cc.Int("parallel", "DRISHTI_PARALLEL", 0, "sweep worker-pool size (0 = GOMAXPROCS; 1 = serial)")
-		laneWkrs   = cc.Int("lane-workers", "DRISHTI_LANE_WORKERS", 0, "concurrent lanes per batched mix; composes with -parallel as mixes × lanes ≤ budget (0 = derived; bit-identical at every setting)")
 		quiet      = flag.Bool("quiet", false, "suppress progress and info-level run logs")
 		telem      = cc.Telemetry()
 		httpAddr   = flag.String("http", "", "serve /metrics and /debug/pprof on `addr` (e.g. :8080)")
@@ -87,7 +86,6 @@ func run() int {
 		Mixes:        *mixes,
 		Seed:         *seed,
 		Parallelism:  *parallel,
-		LaneWorkers:  *laneWkrs,
 	}
 	p.Logger = log
 

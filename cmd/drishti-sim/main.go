@@ -70,7 +70,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the full result as JSON instead of the report")
 		mshrs    = flag.Bool("mshrs", false, "enforce strict Table 4 MSHR limits (8/16/64)")
 		inclus   = flag.Bool("inclusive", false, "inclusive LLC (back-invalidating; baseline is non-inclusive)")
-		laneWkrs = cc.Int("lane-workers", "DRISHTI_LANE_WORKERS", 0, "concurrent lanes inside a batched run; 0 = GOMAXPROCS (bit-identical at every setting)")
 		quiet    = flag.Bool("quiet", false, "suppress info-level run logs")
 
 		telem = cc.Telemetry()
@@ -99,10 +98,8 @@ func main() {
 	if *scenarioF != "" {
 		// -instr/-warmup/-seed explicitly set on the command line override
 		// the spec for a quick lower-fidelity pass; everything else comes
-		// from the file. -lane-workers sizes each run's lane pool, which
-		// never changes results.
+		// from the file.
 		override := func(cfg *sim.Config) {
-			cfg.LaneWorkers = *laneWkrs
 			flag.Visit(func(f *flag.Flag) {
 				switch f.Name {
 				case "instr":
@@ -133,7 +130,6 @@ func main() {
 	cfg.L2Prefetcher = *l2pf
 	cfg.ModelMSHRs = *mshrs
 	cfg.InclusiveLLC = *inclus
-	cfg.LaneWorkers = *laneWkrs
 	if *channels > 0 {
 		d := dram.DefaultConfig(*cores)
 		d.Channels = *channels

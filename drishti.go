@@ -210,7 +210,8 @@ func ExperimentByID(id string) (Experiment, bool) { return experiments.ByID(id) 
 
 // DefaultExperimentParams returns harness-scale parameters, honoring the
 // DRISHTI_SCALE / DRISHTI_INSTR / DRISHTI_WARMUP / DRISHTI_MIXES /
-// DRISHTI_SEED environment overrides.
+// DRISHTI_SEED / DRISHTI_PARALLEL environment overrides. Lane workers
+// have no override: sweeps derive them from Parallelism.
 func DefaultExperimentParams() ExperimentParams { return experiments.DefaultParams() }
 
 // RunExperimentContext runs one experiment under ctx, writing its table

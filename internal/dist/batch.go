@@ -106,8 +106,8 @@ func (pl cellPlan) result(res *sim.Result, fromStore bool) api.CellResult {
 // phaseTimes accumulates the simulator's phase-timing callbacks for one
 // batch (sim.PhaseObserver). Lane -1 phases are shared across the batch;
 // non-negative lanes index the batch's variants. The mutex satisfies the
-// PhaseObserver concurrency contract: with sim.Config.LaneWorkers > 1,
-// "lane-run" timings arrive from concurrent lane goroutines.
+// PhaseObserver concurrency contract: "lane-run" timings arrive from the
+// lane pool's goroutines, concurrently when it has more than one.
 type phaseTimes struct {
 	mu     sync.Mutex
 	shared map[string]time.Duration
@@ -190,9 +190,8 @@ func parentAt(parents []trace.SpanContext, i int) trace.SpanContext {
 //
 // laneWorkers caps the batch's concurrent lane execution
 // (sim.Config.LaneWorkers); callers pass the capacity slots the group
-// already holds so batching never oversubscribes the node. 0 selects the
-// sim default (DRISHTI_LANE_WORKERS, then GOMAXPROCS). Purely a wall-clock
-// knob: lane results are bit-identical at every value.
+// already holds so batching never oversubscribes the node. Purely a
+// wall-clock knob: lane results are bit-identical at every value.
 func ExecuteCellGroup(ctx context.Context, st *store.Store, log *slog.Logger, specs []api.CellSpec, parents []trace.SpanContext, tr *trace.Tracer, laneWorkers int) ([]api.CellResult, error) {
 	out := make([]api.CellResult, len(specs))
 	var (

@@ -29,16 +29,10 @@ type WorkerOptions struct {
 	Name string
 
 	// Capacity is how many cells this worker simulates concurrently
-	// (default 1). The coordinator enforces it on the lease side too.
+	// (default 1). The coordinator enforces it on the lease side too. A
+	// batched lease group of K cells holds K slots and runs its lanes on
+	// K lane workers, so node load stays at Capacity.
 	Capacity int
-
-	// LaneWorkers overrides how many lanes of a batched lease group run
-	// concurrently (sim.Config.LaneWorkers). 0, the default, gives each
-	// group the capacity slots its leases already hold — a group of K
-	// cells occupies K slots, so K lane workers keep node load at
-	// Capacity without oversubscribing. Results are bit-identical at
-	// every setting.
-	LaneWorkers int
 
 	// StoreDir roots the worker's content-addressed store. Every leased
 	// cell is checked here before simulating; point the fleet at one
@@ -219,11 +213,7 @@ func (w *Worker) runLeaseGroup(ctx context.Context, ls []api.Lease) {
 	}
 	// The group holds len(ls) of this worker's capacity slots, so it may
 	// spend that many lane workers without oversubscribing the node.
-	lw := w.opts.LaneWorkers
-	if lw == 0 {
-		lw = len(ls)
-	}
-	results, err := ExecuteCellGroup(ctx, w.st, w.log, specs, parents, tr, lw)
+	results, err := ExecuteCellGroup(ctx, w.st, w.log, specs, parents, tr, len(ls))
 	if err != nil && ctx.Err() != nil {
 		return // killed mid-simulation; the leases expire and are reassigned
 	}

@@ -121,12 +121,13 @@ func TestSweepBatchedMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// TestSweepBatchedLaneWorkersMatchesSerial turns BOTH concurrency knobs
-// on at once — sweep-level Parallelism and intra-batch LaneWorkers — and
-// requires the result to be bit-identical to the fully serial sweep.
-// Under -race this is the composition check: batch groups running on the
-// sweep pool while each group's lanes run on its own lane pool, all
-// through the shared memo caches.
+// TestSweepBatchedLaneWorkersMatchesSerial runs the sweep at Parallelism
+// 1, 2 and 8 — one lane at a time, two lane workers on one batch, and
+// several lane workers on each of several concurrent batches (splitBudget)
+// — and requires every result to be bit-identical to the serial sweep. Under -race this
+// is the composition check: batches running on the sweep pool while each
+// batch's lanes run on its own lane pool, all through the shared memo
+// caches.
 func TestSweepBatchedLaneWorkersMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep determinism test is not -short")
@@ -134,43 +135,44 @@ func TestSweepBatchedLaneWorkersMatchesSerial(t *testing.T) {
 	cfg, mixes, specs := sweepFixture()
 
 	ResetCache()
-	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1, LaneWorkers: 1})
+	defer ResetCache()
+	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("serial batched sweep: %v", err)
 	}
-	ResetCache()
-	par, err := runSweep(cfg, mixes, specs, Params{Parallelism: 2, LaneWorkers: 2})
-	if err != nil {
-		t.Fatalf("parallel batched sweep: %v", err)
-	}
-	ResetCache()
-
-	for si := range specs {
+	for _, budget := range []int{2, 8} {
+		ResetCache()
+		par, err := runSweep(cfg, mixes, specs, Params{Parallelism: budget})
+		if err != nil {
+			t.Fatalf("batched sweep at Parallelism %d: %v", budget, err)
+		}
+		for si := range specs {
+			for mi := range mixes {
+				if s, p := serial.normWS[si][mi], par.normWS[si][mi]; s != p {
+					t.Errorf("Parallelism %d: normWS[%d][%d]: serial %v != %v", budget, si, mi, s, p)
+				}
+				sres, pres := serial.outcomes[si][mi].res, par.outcomes[si][mi].res
+				if sres.MPKI != pres.MPKI {
+					t.Errorf("Parallelism %d: MPKI[%d][%d]: serial %v != %v", budget, si, mi, sres.MPKI, pres.MPKI)
+				}
+				if sres.Energy.Total != pres.Energy.Total {
+					t.Errorf("Parallelism %d: energy[%d][%d]: serial %v != %v", budget, si, mi,
+						sres.Energy.Total, pres.Energy.Total)
+				}
+			}
+			if serial.geoNormWS(si) != par.geoNormWS(si) {
+				t.Errorf("Parallelism %d: geoNormWS(%d) differs from serial", budget, si)
+			}
+		}
 		for mi := range mixes {
-			if s, p := serial.normWS[si][mi], par.normWS[si][mi]; s != p {
-				t.Errorf("normWS[%d][%d]: serial %v != parallel+lanes %v", si, mi, s, p)
+			sev, pev := serial.evals[mi], par.evals[mi]
+			if sev.baseWS != pev.baseWS {
+				t.Errorf("Parallelism %d: baseWS[%d]: serial %v != %v", budget, mi, sev.baseWS, pev.baseWS)
 			}
-			sres, pres := serial.outcomes[si][mi].res, par.outcomes[si][mi].res
-			if sres.MPKI != pres.MPKI {
-				t.Errorf("MPKI[%d][%d]: serial %v != parallel+lanes %v", si, mi, sres.MPKI, pres.MPKI)
-			}
-			if sres.Energy.Total != pres.Energy.Total {
-				t.Errorf("energy[%d][%d]: serial %v != parallel+lanes %v", si, mi,
-					sres.Energy.Total, pres.Energy.Total)
-			}
-		}
-		if serial.geoNormWS(si) != par.geoNormWS(si) {
-			t.Errorf("geoNormWS(%d) differs with both concurrency knobs on", si)
-		}
-	}
-	for mi := range mixes {
-		sev, pev := serial.evals[mi], par.evals[mi]
-		if sev.baseWS != pev.baseWS {
-			t.Errorf("baseWS[%d]: serial %v != parallel+lanes %v", mi, sev.baseWS, pev.baseWS)
-		}
-		for c := range sev.alone {
-			if sev.alone[c] != pev.alone[c] {
-				t.Errorf("alone[%d][%d]: serial %v != parallel+lanes %v", mi, c, sev.alone[c], pev.alone[c])
+			for c := range sev.alone {
+				if sev.alone[c] != pev.alone[c] {
+					t.Errorf("Parallelism %d: alone[%d][%d]: serial %v != %v", budget, mi, c, sev.alone[c], pev.alone[c])
+				}
 			}
 		}
 	}
@@ -227,7 +229,7 @@ func TestSweepBatchedLanesAndMixesMatchSerial(t *testing.T) {
 	if lanes := len(planBatch(cfg, mixes[0], specs).variants); lanes != 4 {
 		t.Fatalf("a 2-core batch with one spec has %d lanes, want 4", lanes)
 	}
-	if lw, par := splitBudget(8, 0, 4, len(mixes)); lw != 4 || par != 2 {
+	if lw, par := splitBudget(8, 4, len(mixes)); lw != 4 || par != 2 {
 		t.Fatalf("budget 8 split into %d lane workers × %d mixes, want 4 × 2", lw, par)
 	}
 	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1})

@@ -28,8 +28,7 @@ import (
 
 // Params control experiment scale. Environment variables override the
 // defaults for full-fidelity runs: DRISHTI_SCALE, DRISHTI_INSTR,
-// DRISHTI_WARMUP, DRISHTI_MIXES, DRISHTI_SEED, DRISHTI_PARALLEL,
-// DRISHTI_LANE_WORKERS.
+// DRISHTI_WARMUP, DRISHTI_MIXES, DRISHTI_SEED, DRISHTI_PARALLEL.
 type Params struct {
 	Scale        int    // machine + workload shrink factor
 	Instructions uint64 // measured instructions per core
@@ -43,28 +42,18 @@ type Params struct {
 	// results are bit-identical to an uncancellable run.
 	Context context.Context
 
-	// Parallelism bounds how many simulations run concurrently: sweeps
-	// split it between the lanes of each mix's lockstep batch and
-	// concurrent mixes, lanes first (see LaneWorkers). 0 means GOMAXPROCS.
-	// Results are bit-identical at every setting; 1 forces the serial path.
+	// Parallelism bounds how many simulations run concurrently. 0 means
+	// GOMAXPROCS. Sweeps split it between the lane workers of each mix's
+	// lockstep batch and concurrent mixes, lanes first: a batch gets up to
+	// two lane workers (the largest count at which one batch was measured
+	// to keep up with two concurrent ones), never more than the largest
+	// lane count among the sweep's batches; concurrent mixes =
+	// Parallelism / lane workers, at least one, and when there are fewer
+	// mixes than that the lanes take what they leave. Each batch in flight
+	// holds its own shared streams and lane machines, so this keeps fewer
+	// in flight than mixes first would. Results are bit-identical at every
+	// setting; 1 runs one lane at a time.
 	Parallelism int
-
-	// LaneWorkers bounds concurrent lane execution inside each batched
-	// mix (sim.Config.LaneWorkers). The two parallelism levels compose
-	// multiplicatively — concurrent mixes × lane workers goroutines run
-	// simulations at once — so batched sweeps keep their product within
-	// the Parallelism budget. 0 (the default) gives lanes the budget
-	// first, up to two lane workers (the largest count at which one batch
-	// was measured to keep up with two concurrent ones), and never more
-	// than the largest lane count among the sweep's batches; concurrent
-	// mixes = Parallelism / lane workers, at least one, and when there are
-	// fewer mixes than that the lanes take what they leave. Each batch in
-	// flight holds its own shared streams and lane machines, so this
-	// keeps fewer in flight than mixes first would. An explicit value
-	// claims its share the same way and the mix pool gets Parallelism /
-	// LaneWorkers. Results are bit-identical at every setting;
-	// DRISHTI_LANE_WORKERS overrides the default.
-	LaneWorkers int
 
 	// Logger receives the structured run log (one line per sweep cell with
 	// a stable run ID). Nil discards.
@@ -128,9 +117,6 @@ func DefaultParams() Params {
 	}
 	if v, ok := envInt("DRISHTI_PARALLEL"); ok {
 		p.Parallelism = v
-	}
-	if v, ok := envInt("DRISHTI_LANE_WORKERS"); ok {
-		p.LaneWorkers = v
 	}
 	return p
 }

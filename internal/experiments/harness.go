@@ -147,7 +147,7 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 	for _, mix := range mixes {
 		lanes = max(lanes, len(planBatch(cfg, mix, specs).variants))
 	}
-	lw, par := splitBudget(p.Parallel(), p.LaneWorkers, lanes, len(mixes))
+	lw, par := splitBudget(p.Parallel(), lanes, len(mixes))
 	cfg.LaneWorkers = lw // excluded from Key(): no cache identity drift
 	runOne := func(mi int) error {
 		mix := mixes[mi]
@@ -233,17 +233,13 @@ const sweepLaneWorkers = 2
 // workers of each batch (lw) and concurrent batches (par), lanes first:
 // every batch in flight holds its own shared stream windows and lane
 // machines, while the lanes of one batch share them, so memory follows
-// par. By default lw is the budget, capped at sweepLaneWorkers and at
-// lanes, the largest lane count among the sweep's batches; an explicit
-// laneWorkers claims its share instead. par takes what lw leaves, at
-// least one and at most the mix count, and a default lw then takes what
-// par leaves, so a sweep with fewer mixes than that keeps the budget
-// busy. Purely a scheduling split: results are bit-identical at every
+// par. lw is the budget, capped at sweepLaneWorkers and at lanes, the
+// largest lane count among the sweep's batches. par takes what lw leaves,
+// at least one and at most the mix count, and lw then takes what par
+// leaves, so a sweep with fewer mixes than that keeps the budget busy.
+// Purely a scheduling split: results are bit-identical at every
 // combination.
-func splitBudget(budget, laneWorkers, lanes, mixes int) (lw, par int) {
-	if laneWorkers > 0 {
-		return laneWorkers, max(1, min(mixes, budget/laneWorkers))
-	}
+func splitBudget(budget, lanes, mixes int) (lw, par int) {
 	lw = max(1, min(budget, lanes, sweepLaneWorkers))
 	par = max(1, min(mixes, budget/lw))
 	return max(lw, min(budget/par, lanes)), par

@@ -51,23 +51,23 @@ import (
 //
 // A lane's System is built the first time the lane is scheduled, and
 // handed back — keeping only its Result — as soon as the lane finishes.
-// The goroutine that ran it (the serial driver, or one pool worker) keeps
-// the machine as its spare and builds the next lane it starts into it
-// (see renew), so a batch whose run fits the window finishes every lane in
-// the first rotation and allocates at most LaneWorkers machines instead
-// of K. A longer run builds every lane in the first rotation, before any
-// finishes, and so still allocates one machine per lane. Once no lane is
-// left to start, a finished lane's machine is dropped, not kept.
+// The pool worker that ran it keeps the machine as its spare and builds
+// the next lane it starts into it (see renew), so a batch whose run fits
+// the window finishes every lane in the first rotation and allocates at
+// most LaneWorkers machines instead of K. A longer run builds every lane
+// in the first rotation, before any finishes, and so still allocates one
+// machine per lane. Once no lane is left to start, a finished lane's
+// machine is dropped, not kept.
 //
 // Between barriers the lanes are independent: all lane-varying state
 // (cores, MSHRs, LLC slices, policy/predictor stack, NoCs, DRAM) is
 // private per lane, and the shared stream window is made strictly
 // read-only for the rotation by materializing it up to the window limits
 // at the barrier (Stream.Ensure / expStream.ensure). runLockstep
-// therefore fans the rotation's lanes onto a bounded worker pool
-// (Config.LaneWorkers, default min(K, GOMAXPROCS)), which also
-// materializes the per-core streams at each barrier, one core per task,
-// and it merges outcomes —
+// therefore runs the rotation's lanes on a bounded worker pool
+// (Config.LaneWorkers, default min(K, GOMAXPROCS); one worker is a pool
+// of one), which also materializes the per-core streams at each barrier,
+// one core per task, and it merges outcomes —
 // progress, completion, errors, buffered telemetry — in deterministic
 // lane order at the barrier, so results and telemetry bytes are identical
 // at every worker count (the workers-sweep determinism test pins this).
@@ -88,7 +88,7 @@ var batchMemBudget = 256 << 20
 // epochBuffer queues one lane's telemetry epochs so concurrent lanes
 // never write the (possibly shared) real sink directly; the batch driver
 // drains buffers in lane order at each rotation barrier, which reproduces
-// the serial rotation's emission order byte for byte at every worker
+// a lane-by-lane rotation's emission order byte for byte at every worker
 // count. Buffering epoch pointers is safe: the telemetry snapshotter
 // allocates a fresh Epoch per flush and never writes it again.
 //
@@ -207,8 +207,8 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 
 	// Per-lane telemetry buffers decouple concurrently-running lanes from
 	// the (possibly shared) sink; the driver drains them in lane order at
-	// each barrier, so the sink sees the serial emission byte stream at
-	// every worker count. Alone lanes have telemetry off (bufs[i] nil).
+	// each barrier, so the sink sees the lane-by-lane emission byte stream
+	// at every worker count. Alone lanes have telemetry off (bufs[i] nil).
 	workers := base.laneWorkers(len(variants))
 	bufs := make([]*epochBuffer, len(variants))
 	for i, ln := range lanes {
@@ -251,8 +251,9 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 	}
 	if po != nil {
 		// Stream construction only; records are generated at the barriers
-		// (runLockstep's ensure), under "barrier" after the first rotation
-		// and, on tier 2, also under "private-replay".
+		// (runLockstep's ensure): the first window under "workload-gen" on
+		// tier 1, later ones under "barrier", and every expansion on tier 2
+		// under "private-replay".
 		po.ObservePhase("workload-gen", -1, time.Since(genStart))
 	}
 
@@ -409,8 +410,8 @@ type laneOutcome struct {
 // read past the window. A finished lane collects its Result (finishRun's
 // final telemetry flush lands in the lane's buffer) and hands its machine
 // to w as the spare. With po non-nil the run's wall time is reported as
-// "lane-run" from the calling goroutine — a pool worker when lanes run
-// concurrently (see the PhaseObserver contract).
+// "lane-run" from the calling pool worker (see the PhaseObserver
+// contract).
 func (ln *batchLane) advance(i int, w *laneWorker, po PhaseObserver) laneOutcome {
 	var t0 time.Time
 	if po != nil {
@@ -444,26 +445,29 @@ func (ln *batchLane) advance(i int, w *laneWorker, po PhaseObserver) laneOutcome
 // build aborts the batch at that rotation's barrier, with the error text a
 // build failure always had.
 //
-// With workers > 1 each rotation's lanes run concurrently on a bounded
-// pool. That is race-free because the barrier materializes the shared
-// streams up to the window limits before lanes run (so the lane phase
-// only reads them — a runner never steps past limits[c], and telemetry
-// goes to per-lane buffers), and it is deterministic because every
-// unfinished lane runs to the same window edge per rotation regardless of
-// worker count and the outcomes — progress OR, completion, the
-// lowest-lane error, buffered epochs — merge in lane order at the
-// barrier. The rotation sequence, and with it the deadlock-breaker
-// growth path, is therefore identical at every worker setting. The same
-// pool materializes the per-core streams at each barrier, one task per
-// core: no lane runs then, and each core's stream is independent of the
-// others.
+// Each rotation's lanes run on a pool of workers goroutines; one worker
+// is a pool of one on the same path. That is race-free because the
+// barrier materializes the shared streams up to the window limits before
+// lanes run (so the lane phase only reads them — a runner never steps
+// past limits[c], and telemetry goes to per-lane buffers), and it is
+// deterministic because every unfinished lane runs to the same window
+// edge per rotation regardless of worker count and the outcomes —
+// progress OR, completion, the lowest-lane error, buffered epochs — merge
+// in lane order at the barrier. A failing rotation returns the lowest
+// failing lane's error and drains telemetry only through that lane, so a
+// sink receives the same bytes at every worker count. The rotation
+// sequence, and with it the deadlock-breaker growth path, is therefore
+// identical at every worker setting. The same pool materializes the
+// per-core streams at each barrier, one task per core: no lane runs
+// then, and each core's stream is independent of the others.
 //
 // When po is non-nil, per-lane run time is reported per rotation
-// ("lane-run", from the executing goroutine), the wall time of every
-// tier-2 materialization that expanded records ("private-replay"),
-// barrier time once at the end ("barrier"), and each deadlock-breaker
-// growth as a zero-duration "window-grow"; the shared phases are reported
-// from the driver, and timing wraps existing work and never alters it.
+// ("lane-run", from the pool worker), the first window's generation on
+// tier 1 ("workload-gen"), the wall time of every tier-2 materialization
+// that expanded records ("private-replay"), barrier time once at the end
+// ("barrier"), and each deadlock-breaker growth as a zero-duration
+// "window-grow"; the shared phases are reported from the driver, and
+// timing wraps existing work and never alters it.
 func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Stream, exps []*expStream, po PhaseObserver, workers int, bufs []*epochBuffer, window uint64) error {
 	cores := 0
 	if raws != nil {
@@ -477,7 +481,7 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 	}
 
 	// drainTo forwards buffered lane telemetry to the real sinks, in lane
-	// order, up to and including lane last — the serial rotation's
+	// order, up to and including lane last — a lane-by-lane rotation's
 	// emission order. Sink errors stay sticky in the buffer and surface
 	// through the lane's own telemetry error path.
 	drainTo := func(last int) {
@@ -510,40 +514,34 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 	}
 
 	outs := make([]laneOutcome, len(lanes))
-	var (
-		tasks chan func(*laneWorker)
-		wg    sync.WaitGroup
-	)
-	// One laneWorker per lane-running goroutine: pool[0] is the driver's
-	// when workers <= 1. Each is touched only by its goroutine while lanes
-	// run and by the driver once they are all idle, after wg.Wait or on
-	// return, when the spares are dropped.
-	pool := make([]laneWorker, max(workers, 1))
+	// One laneWorker per pool goroutine. Each is touched only by its
+	// goroutine while tasks run and by the driver once they are all idle,
+	// after wg.Wait or on return, when the spares are dropped.
+	pool := make([]laneWorker, workers)
 	defer func() {
 		for w := range pool {
 			pool[w].drop()
 		}
 	}()
-	if workers > 1 {
-		// Room for one phase's sends, a lane or a core each, so the
-		// driver never blocks handing them out.
-		tasks = make(chan func(*laneWorker), max(len(lanes), cores))
-		defer close(tasks)
-		for w := range pool {
-			go func() {
-				for task := range tasks {
-					task(&pool[w])
-					wg.Done()
-				}
-			}()
-		}
+	// Room for one phase's sends, a lane or a core each, so the driver
+	// never blocks handing them out.
+	tasks := make(chan func(*laneWorker), max(len(lanes), cores))
+	defer close(tasks)
+	var wg sync.WaitGroup
+	for w := range pool {
+		go func() {
+			for task := range tasks {
+				task(&pool[w])
+				wg.Done()
+			}
+		}()
 	}
 
-	// ensure materializes every shared stream up to its window limit so
-	// the following lane phase never mutates shared state — the invariant
-	// that makes concurrent lanes legal. With a pool, one task per core.
-	// On tier 2 the driver reports ensure's wall time as "private-replay"
-	// when any core expanded records.
+	// ensure materializes every shared stream up to its window limit, one
+	// task per core, so the following lane phase never mutates shared
+	// state — the invariant that makes concurrent lanes legal. The driver
+	// reports its wall time: the first call's on tier 1 as "workload-gen",
+	// and on tier 2 any call's that expanded records as "private-replay".
 	var expanded atomic.Bool
 	ensureCore := func(c int) {
 		if raws != nil && raws[c] != nil {
@@ -553,52 +551,41 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 			expanded.Store(true)
 		}
 	}
-	ensure := func() {
+	ensure := func(first bool) {
 		var t0 time.Time
 		if po != nil {
 			t0 = time.Now()
 		}
-		if workers > 1 {
-			for c := 0; c < cores; c++ {
-				wg.Add(1)
-				tasks <- func(*laneWorker) { ensureCore(c) }
-			}
-			wg.Wait()
-		} else {
-			for c := 0; c < cores; c++ {
-				ensureCore(c)
-			}
+		for c := 0; c < cores; c++ {
+			wg.Add(1)
+			tasks <- func(*laneWorker) { ensureCore(c) }
 		}
-		if expanded.Swap(false) && po != nil {
+		wg.Wait()
+		replayed := expanded.Swap(false)
+		if po == nil {
+			return
+		}
+		if raws != nil && first {
+			po.ObservePhase("workload-gen", -1, time.Since(t0))
+		} else if replayed {
 			po.ObservePhase("private-replay", -1, time.Since(t0))
 		}
 	}
 
 	var barrierDur time.Duration
 	live := len(lanes)
-	ensure()
+	ensure(true)
 	for live > 0 {
 		// Lane phase: every unfinished lane runs to its window edge against
 		// the frozen window.
-		if workers > 1 {
-			for i, ln := range lanes {
-				if ln.done {
-					continue
-				}
-				wg.Add(1)
-				tasks <- func(w *laneWorker) { outs[i] = schedule(i, w) }
+		for i, ln := range lanes {
+			if ln.done {
+				continue
 			}
-			wg.Wait()
-		} else {
-			for i, ln := range lanes {
-				if ln.done {
-					continue
-				}
-				if outs[i] = schedule(i, &pool[0]); outs[i].err != nil {
-					break // serial semantics: later lanes don't run this rotation
-				}
-			}
+			wg.Add(1)
+			tasks <- func(w *laneWorker) { outs[i] = schedule(i, w) }
 		}
+		wg.Wait()
 
 		// Barrier: merge outcomes in lane order, then advance the window.
 		stepped := false
@@ -608,9 +595,10 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 			}
 			o := outs[i]
 			if o.err != nil {
-				// Lanes ≤ i emitted exactly the epochs the serial rotation
-				// would have before aborting; later lanes' buffers are
-				// dropped with the batch.
+				// Lanes ≤ i emitted the epochs a lane-by-lane rotation
+				// would have before aborting; later lanes may have run
+				// this rotation too, but their buffers are dropped with
+				// the batch.
 				drainTo(i)
 				return o.err
 			}
@@ -669,7 +657,7 @@ func runLockstep(ctx context.Context, lanes []*batchLane, raws []*workload.Strea
 			}
 			limits[c] = limit
 		}
-		ensure()
+		ensure(false)
 		if po != nil {
 			barrierDur += time.Since(b0)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"drishti/internal/obs"
 	"drishti/internal/policies"
 	"drishti/internal/workload"
 )
@@ -131,10 +132,26 @@ func TestBatchWorkersLaneLifetime(t *testing.T) {
 	}
 }
 
+// laneEpochs is a shared telemetry sink that records the lane of every
+// epoch it receives, as obs.TagEpochs stamps it (1-based).
+type laneEpochs struct {
+	mu    sync.Mutex
+	lanes []int
+}
+
+func (s *laneEpochs) WriteEpoch(e *obs.Epoch) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lanes = append(s.lanes, e.Lane-1)
+	return nil
+}
+
 // TestBatchWorkersBadLaneError: a lane whose policy spec cannot be built
 // fails the batch with the text the batch has always returned for it —
 // its index and name, then the builder's error — at every worker count
-// and wherever the lane sits among lanes that build fine.
+// and wherever the lane sits among lanes that build fine. A shared
+// telemetry sink receives epochs from the lanes before the failing one
+// and from no lane after it, although the pool runs those lanes too.
 func TestBatchWorkersBadLaneError(t *testing.T) {
 	cases := []struct {
 		k    int
@@ -152,11 +169,29 @@ func TestBatchWorkersBadLaneError(t *testing.T) {
 					cfg.L1Prefetcher, cfg.L2Prefetcher = "none", "none"
 				}
 				cfg.LaneWorkers = workers
+				sink := &laneEpochs{}
+				cfg.TelemetryEpoch = 2000
+				cfg.TelemetrySink = sink
 				variants := lifetimeVariants(cfg.Cores)
 				variants[tc.k] = Variant{Policy: policies.Spec{Name: "nosuch"}}
+				for i := range variants {
+					variants[i].TelemetrySink = obs.TagEpochs(sink, i+1, "")
+				}
 				_, err := RunBatchContext(context.Background(), cfg, variants, mix)
 				if err == nil || err.Error() != tc.want {
 					t.Errorf("tier2=%v lane %d workers=%d: error %v, want %q", tier2, tc.k, workers, err, tc.want)
+				}
+				sent := map[int]bool{}
+				for _, lane := range sink.lanes {
+					sent[lane] = true
+					if lane >= tc.k {
+						t.Errorf("tier2=%v lane %d workers=%d: sink received an epoch of lane %d", tier2, tc.k, workers, lane)
+					}
+				}
+				// Lanes before the first policy lane are alone lanes,
+				// which have telemetry off.
+				if tc.k > cfg.Cores && !sent[tc.k-1] {
+					t.Errorf("tier2=%v lane %d workers=%d: no epoch of lane %d reached the sink", tier2, tc.k, workers, tc.k-1)
 				}
 			}
 		}

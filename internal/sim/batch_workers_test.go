@@ -17,7 +17,7 @@ import (
 // This file pins the parallel-lockstep contract: a batched run is
 // byte-identical at every Config.LaneWorkers setting — per-lane Results,
 // the telemetry byte stream on one shared sink, and the deadlock-breaker
-// window-growth path all match the serial (workers=1) rotation exactly.
+// window-growth path all match the one-worker rotation exactly.
 
 // workerCounts is the sweep the regression tests run: serial, the
 // smallest parallel pool, and the host default. Duplicates are kept —

@@ -6,9 +6,7 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"drishti/internal/cpu"
@@ -101,16 +99,16 @@ type Config struct {
 
 	// LaneWorkers bounds how many lanes of a batched run (RunBatch) execute
 	// concurrently between lockstep barriers; the same workers materialize
-	// the per-core shared streams at each barrier, one core per task. 0
-	// selects the default — DRISHTI_LANE_WORKERS if set, else GOMAXPROCS,
-	// clamped to the lane count; 1 forces the serial rotation. Results, and
-	// telemetry bytes on a shared sink, are bit-identical at every setting
-	// (lanes share only read-only window state between barriers and merge
-	// in lane order), so this is purely a wall-clock knob and is excluded
-	// from Key(). It composes multiplicatively with sweep-level
-	// parallelism: keep cells × lanes within the host's core budget. The
-	// experiment harness gives each batch's lanes the first two workers of
-	// its budget, then concurrent mixes (see README Performance).
+	// the per-core shared streams at each barrier, one core per task. It is
+	// set only by code: each caller derives it from the CPUs it may spend
+	// (the experiment harness from its Parallelism budget, a fleet worker
+	// from the capacity slots a lease group holds, the job service 1). 0
+	// means min(lanes, GOMAXPROCS). Results, and telemetry bytes on a
+	// shared sink, are bit-identical at every setting (lanes share only
+	// read-only window state between barriers and merge in lane order), so
+	// this is purely a wall-clock knob and is excluded from Key(). It
+	// composes multiplicatively with sweep-level parallelism: keep cells ×
+	// lanes within the host's core budget.
 	LaneWorkers int
 }
 
@@ -122,12 +120,19 @@ type Config struct {
 // duration once per deadlock-breaker window growth, so its count — which
 // is identical at every LaneWorkers setting — is observable.
 //
+// "workload-gen" covers building the shared streams and, on the raw-stream
+// tier, generating the records of the first window, before the first
+// rotation. On the expanded tier that first window is private-hierarchy
+// replay and is reported as "private-replay", as is every later barrier's
+// expansion. "barrier" covers the barriers after the first rotation,
+// their generation included.
+//
 // Concurrency contract: shared phases ("workload-gen", "private-replay",
 // "barrier", "window-grow") are always reported from the goroutine
-// driving the batch, but "lane-run" timings arrive from the lane's own
-// worker goroutine when LaneWorkers > 1. Implementations must therefore
-// be safe for concurrent use (the built-in span-attribute collector in
-// internal/dist synchronizes internally).
+// driving the batch, but "lane-run" timings arrive from the lane pool's
+// worker goroutines. Implementations must therefore be safe for
+// concurrent use (the built-in span-attribute collector in internal/dist
+// synchronizes internally).
 type PhaseObserver interface {
 	ObservePhase(phase string, lane int, d time.Duration)
 }
@@ -264,25 +269,13 @@ func (c Config) cpuConfig() cpu.Config {
 	return c.CPU
 }
 
-// laneWorkers resolves the effective lane-worker pool size for a batch of
-// k lanes: an explicit positive LaneWorkers wins (callers may deliberately
-// oversubscribe), 0 falls back to DRISHTI_LANE_WORKERS and then
-// GOMAXPROCS, and the result is clamped to [1, k] — more workers than
-// lanes would only idle.
+// laneWorkers resolves the lane-worker pool size for a batch of k lanes:
+// LaneWorkers, or GOMAXPROCS when it is 0, clamped to [1, k] — more
+// workers than lanes would only idle.
 func (c Config) laneWorkers(k int) int {
 	w := c.LaneWorkers
 	if w == 0 {
-		if v, err := strconv.Atoi(os.Getenv("DRISHTI_LANE_WORKERS")); err == nil && v > 0 {
-			w = v
-		} else {
-			w = runtime.GOMAXPROCS(0)
-		}
+		w = runtime.GOMAXPROCS(0)
 	}
-	if w > k {
-		w = k
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, k))
 }

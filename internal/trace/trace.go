@@ -151,17 +151,20 @@ func Write(w io.Writer, recs []Rec) error {
 	return bw.Flush()
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. Write's encoding is
+// canonical — every varint in its fewest bytes, nothing after the counted
+// records — so Read rejects any other input: a damaged count or a
+// stray byte must not read as a different, valid-looking trace.
 func Read(r io.Reader) ([]Rec, error) {
-	br := bufio.NewReader(r)
+	br := &varintReader{r: bufio.NewReader(r)}
 	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
+	if _, err := io.ReadFull(br.r, got[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if got != magic {
 		return nil, errors.New("trace: bad magic (not a drishti trace)")
 	}
-	n, err := binary.ReadUvarint(br)
+	n, err := br.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading count: %w", err)
 	}
@@ -176,15 +179,15 @@ func Read(r io.Reader) ([]Rec, error) {
 	recs := make([]Rec, 0, min(n, maxInitialCap))
 	var prevPC, prevAddr uint64
 	for i := uint64(0); i < n; i++ {
-		dpc, err := binary.ReadUvarint(br)
+		dpc, err := br.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d pc: %w", i, err)
 		}
-		daddr, err := binary.ReadUvarint(br)
+		daddr, err := br.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d addr: %w", i, err)
 		}
-		flags, err := binary.ReadUvarint(br)
+		flags, err := br.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d flags: %w", i, err)
 		}
@@ -200,7 +203,43 @@ func Read(r io.Reader) ([]Rec, error) {
 			Gap:   uint32(flags >> 1),
 		})
 	}
-	return recs, nil
+	switch _, err := br.r.ReadByte(); err {
+	case io.EOF:
+		return recs, nil
+	case nil:
+		return nil, fmt.Errorf("trace: bytes after the %d counted records", n)
+	default:
+		return nil, fmt.Errorf("trace: after the records: %w", err)
+	}
+}
+
+// errOverlong reports a varint longer than its value needs.
+var errOverlong = errors.New("overlong varint")
+
+// varintReader reads Write's varints and rejects an overlong one: a
+// varint of more than one byte whose last byte is 0 carries high bits
+// that are all zero, so a shorter encoding of the same value exists.
+type varintReader struct {
+	r    *bufio.Reader
+	last byte
+	n    int
+}
+
+// ReadByte implements io.ByteReader, remembering the byte for uvarint.
+func (v *varintReader) ReadByte() (byte, error) {
+	b, err := v.r.ReadByte()
+	v.last = b
+	v.n++
+	return b, err
+}
+
+func (v *varintReader) uvarint() (uint64, error) {
+	v.n = 0
+	x, err := binary.ReadUvarint(v)
+	if err == nil && v.n > 1 && v.last == 0 {
+		return 0, errOverlong
+	}
+	return x, err
 }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }

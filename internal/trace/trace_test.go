@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -230,5 +231,53 @@ func TestReadRejectsGapOverflow(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "gap") {
 			t.Errorf("gap %d: error %q does not name the gap", tc.gap, err)
 		}
+	}
+}
+
+// The record count says where a trace ends: a byte after the counted
+// records is an error, not ignored. Otherwise a count damaged to a smaller
+// value would read as a shorter trace that looks valid.
+func TestReadRejectsTrailingBytes(t *testing.T) {
+	recs := []Rec{{PC: 1, Addr: 64}, {PC: 2, Addr: 128, Write: true, Gap: 3}}
+	var buf bytes.Buffer
+	if err := Write(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("the writer's own bytes: %v", err)
+	}
+	extra := append(append([]byte(nil), buf.Bytes()...), 0)
+	if got, err := Read(bytes.NewReader(extra)); err == nil {
+		t.Errorf("a trailing byte was accepted as %+v", got)
+	}
+	shrunk := append(header(1), buf.Bytes()[len(header(2)):]...) // count 2 damaged to 1
+	if got, err := Read(bytes.NewReader(shrunk)); err == nil {
+		t.Errorf("a count smaller than the records behind it read as %+v", got)
+	}
+}
+
+// Write emits every varint in its fewest bytes, so a longer encoding of
+// the same value — in the count or in any record field — is an error.
+func TestReadRejectsOverlongVarint(t *testing.T) {
+	zero2 := []byte{0x80, 0x00}      // 0 in two bytes
+	one3 := []byte{0x81, 0x80, 0x00} // 1 in three bytes
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"count", append(append([]byte(nil), magic[:]...), zero2...)},
+		{"pc", append(append(header(1), one3...), 0, 0)},
+		{"addr", append(append(append(header(1), 0), zero2...), 0)},
+		{"flags", append(append(header(1), 0, 0), one3...)},
+	} {
+		if got, err := Read(bytes.NewReader(tc.data)); err == nil {
+			t.Errorf("%s: overlong varint accepted as %+v", tc.name, got)
+		} else if !errors.Is(err, errOverlong) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, errOverlong)
+		}
+	}
+	// The same values in their fewest bytes read fine.
+	if got, err := Read(bytes.NewReader(append(header(1), 1, 0, 1))); err != nil || len(got) != 1 {
+		t.Errorf("minimal varints: %+v, %v", got, err)
 	}
 }
