@@ -203,3 +203,60 @@ func TestGoldenResultHashes(t *testing.T) {
 		})
 	}
 }
+
+// goldenPredictorGrid pins the six predictor policies goldenGrid leaves
+// out, baseline and D-, on one small two-core mix: every sampled-cache +
+// reuse-predictor policy the policies package builds is then covered.
+var goldenPredictorGrid = func() []goldenCell {
+	var cells []goldenCell
+	for _, name := range []string{"ship++", "glider", "chrome", "sdbp", "leeway", "perceptron"} {
+		for _, d := range []bool{false, true} {
+			cells = append(cells, goldenCell{policy: policies.Spec{Name: name, Drishti: d}, model: "605.mcf_s-1554B", cores: 2})
+		}
+	}
+	return cells
+}()
+
+// goldenPredictorHashes are goldenPredictorGrid's Result digests, recorded
+// when each predictor policy still declared its own configuration struct.
+// Regenerate (only for intentional model changes) with:
+//
+//	DRISHTI_GOLDEN_UPDATE=1 go test ./internal/sim -run TestGoldenPredictorPolicies -v
+var goldenPredictorHashes = map[string]string{
+	"name=chrome|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":     "f46156e135cd4c33644dc239f3f436fc34d4d5e5e0768d4f71b52ba86029aebd",
+	"name=chrome|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":      "0ade833a9fd2aa4372a5c9f9a4cbc85e258ada05c8ea81fbbcc7b54507cbd239",
+	"name=glider|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":     "4fa7a7e94f1a064d3d34cc0a15c568d62309c919545e7e2f233414f367c42406",
+	"name=glider|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":      "8cd2852c2e60e7b7e2f2e351a2236e0bfaac871c81237cc8fe283ee3a86e364e",
+	"name=leeway|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":     "e4cfde9a95de3d5d7e744264bf7e4f12306b994df55ed17c7e5618cbbeb8f857",
+	"name=leeway|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":      "3a0963a3ad46b21aff87fa9075fa08b41fe93c5b24d05a4e07ed65aeecf17ce8",
+	"name=perceptron|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false": "b1aaf2a06f0d403f9107f4c0c56e0f01b96540240b984e4177aa54fdccb2de77",
+	"name=perceptron|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":  "e358ad8b0b4992fcfed6337d84d5fd97a2b4d95766872cdb327cc1c0c4f8fafc",
+	"name=sdbp|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":       "5b11c967d98b5d22d5ea04f097399119e87b116d4cf557624722a342af702960",
+	"name=sdbp|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":        "0612cb9caeb554a8dee4e1494ea882f8b604afcd9284fc832b4988902f8f332c",
+	"name=ship++|drishti=false|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":     "12c1bd1d621a9a424db8f49b83c6685d5eb0d2d74d6365db5b75c64b29101c89",
+	"name=ship++|drishti=true|place=nil|nocstar=nil|predlat=0|dsc=nil|ssets=0|fixed=|perslice=/605.mcf_s-1554B/c2/pc=false":      "9bd762c3c31f8725b662c82bb55d48db74a1610404b374dbb753e38c54602b02",
+}
+
+// TestGoldenPredictorPolicies is the bit-identity guard for the predictor
+// policies outside goldenGrid: ship++, glider, chrome, sdbp, leeway and
+// perceptron, each baseline and D-.
+func TestGoldenPredictorPolicies(t *testing.T) {
+	update := os.Getenv("DRISHTI_GOLDEN_UPDATE") == "1"
+	for _, c := range goldenPredictorGrid {
+		t.Run(goldenKey(c), func(t *testing.T) {
+			t.Parallel()
+			got := goldenHash(t, goldenRun(t, c))
+			if update {
+				t.Logf("GOLDEN\t%q: %q,", goldenKey(c), got)
+				return
+			}
+			want, ok := goldenPredictorHashes[goldenKey(c)]
+			if !ok {
+				t.Fatalf("no golden hash recorded for %s (got %s)", goldenKey(c), got)
+			}
+			if got != want {
+				t.Fatalf("result drifted from golden:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
