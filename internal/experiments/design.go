@@ -8,6 +8,7 @@ import (
 	"drishti/internal/fabric"
 	"drishti/internal/noc"
 	"drishti/internal/policies"
+	"drishti/internal/repl"
 	"drishti/internal/stats"
 )
 
@@ -131,7 +132,7 @@ func Fig11bLatencySweep(p Params, w io.Writer) error {
 // for Hawkeye and Mockingjay on the full-size 2 MB/16-way slice.
 func Tab03Budget(p Params, w io.Writer) error {
 	header(w, "tab03", "per-core hardware budget (full-size 2 MB slice)", p)
-	g := policies.Geometry{Slices: 32, Cores: 32, SetsPerSlice: 2048, Ways: 16}
+	g := repl.Geometry{Slices: 32, Cores: 32, SetsPerSlice: 2048, Ways: 16}
 	mesh := noc.NewMesh(32, 4, 2)
 	star := noc.NewStar(32, noc.DefaultStarLatency)
 	for _, spec := range []policies.Spec{

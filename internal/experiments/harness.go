@@ -170,14 +170,6 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 		}
 		return nil
 	}
-	if par <= 1 {
-		for mi := range mixes {
-			if err := runOne(mi); err != nil {
-				return nil, err
-			}
-		}
-		return sr, nil
-	}
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -192,20 +184,22 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 		}
 		mu.Unlock()
 	}
-	for mi := 0; mi < len(mixes); mi++ {
-		if err := ctx.Err(); err != nil {
-			// Cancelled: stop dispatching. Batches already in flight
-			// observe the same context and abort on their own.
-			record(mi, err)
-			break
-		}
+	for mi := range mixes {
+		sem <- struct{}{}
+		// Checked after taking a slot: a pool of one has then finished the
+		// previous mix, so it starts nothing after a failure.
 		mu.Lock()
 		failed := firstErr != nil
 		mu.Unlock()
 		if failed {
 			break
 		}
-		sem <- struct{}{}
+		if err := ctx.Err(); err != nil {
+			// Cancelled: stop dispatching. Batches already in flight
+			// observe the same context and abort on their own.
+			record(mi, err)
+			break
+		}
 		wg.Add(1)
 		go func(mi int) {
 			defer wg.Done()

@@ -77,12 +77,8 @@ func (s Spec) DisplayName() string {
 // IsPredictorBased reports whether the policy uses a sampled cache and
 // reuse predictor (Table 7's prediction-based category).
 func (s Spec) IsPredictorBased() bool {
-	switch s.Name {
-	case "hawkeye", "mockingjay", "ship++", "glider", "chrome",
-		"sdbp", "leeway", "perceptron":
-		return true
-	}
-	return false
+	_, ok := predictors[s.Name]
+	return ok
 }
 
 // SupportsDSCOnly reports whether the policy takes only Enhancement II
@@ -161,14 +157,6 @@ func (s Spec) sampledSets(setsPerSlice int) int {
 	return n
 }
 
-// Geometry describes the sliced LLC the policy attaches to.
-type Geometry struct {
-	Slices       int
-	Cores        int
-	SetsPerSlice int
-	Ways         int
-}
-
 // Built is the assembled policy stack for a sliced LLC.
 type Built struct {
 	Spec      Spec
@@ -179,9 +167,10 @@ type Built struct {
 	Budget    map[string]int        // per-core storage in bytes
 }
 
-// Build assembles the policy stack. mesh and star are the system
-// interconnect models (star may be nil when NOCSTAR is not used).
-func Build(spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Rand) (*Built, error) {
+// Build assembles the policy stack on the sliced LLC g. mesh and star are
+// the system interconnect models (star may be nil when NOCSTAR is not
+// used). g.SampledSets is ignored: Build resolves it from spec.
+func Build(spec Spec, g repl.Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Rand) (*Built, error) {
 	return Renew(nil, spec, g, mesh, star, rnd)
 }
 
@@ -190,17 +179,27 @@ func Build(spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Ran
 // where they are the same policy at the same geometry, reset to the state
 // Build leaves them in (see repl.RenewLRU). Everything else is built
 // afresh, drawing from rnd exactly as Build does.
-func Renew(spare *Built, spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Rand) (*Built, error) {
+//
+// Renew is where a predictor policy's geometry is checked, once: every
+// dimension positive and the resolved sampled-set count within the slice.
+// The policy packages take it as given.
+func Renew(spare *Built, spec Spec, g repl.Geometry, mesh *noc.Mesh, star *noc.Star, rnd *stats.Rand) (*Built, error) {
 	if g.Slices <= 0 || g.Cores <= 0 || g.SetsPerSlice <= 0 || g.Ways <= 0 {
 		return nil, fmt.Errorf("policies: invalid geometry %+v", g)
 	}
 	b := &Built{Spec: spec, PerSlice: make([]repl.Policy, g.Slices)}
 
-	if spec.SupportsDSCOnly() && spec.dynamicSampler() {
-		return buildDynamicDIP(spec, g, rnd, b)
-	}
-	if !spec.IsPredictorBased() {
+	dip := spec.SupportsDSCOnly() && spec.dynamicSampler()
+	pred, isPred := predictors[spec.Name]
+	if !dip && !isPred {
 		return buildBasic(spare, spec, g, rnd, b)
+	}
+	g.SampledSets = spec.sampledSets(g.SetsPerSlice)
+	if g.SampledSets > g.SetsPerSlice {
+		return nil, fmt.Errorf("%s: %d sampled sets exceed %d sets", spec.Name, g.SampledSets, g.SetsPerSlice)
+	}
+	if dip {
+		return buildDynamicDIP(spec, g, rnd, b)
 	}
 
 	fab, err := fabric.New(fabric.Config{
@@ -217,113 +216,65 @@ func Renew(spare *Built, spec Spec, g Geometry, mesh *noc.Mesh, star *noc.Star, 
 	}
 	b.Fabric = fab
 
-	n := spec.sampledSets(g.SetsPerSlice)
 	b.Selectors = make([]sampler.SetSelector, g.Slices)
 	for i := range b.Selectors {
-		sel, err := buildSelector(spec, g, n, i, rnd.Fork(uint64(i)+101))
+		sel, err := buildSelector(spec, g, i, rnd.Fork(uint64(i)+101))
 		if err != nil {
 			return nil, err
 		}
 		b.Selectors[i] = sel
 	}
-
-	dynamic := spec.dynamicSampler()
-	switch spec.Name {
-	case "hawkeye":
-		cfg := hawkeye.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores, SampledSets: n}
-		shared, err := hawkeye.NewShared(cfg, fab)
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = hawkeye.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = hawkeye.Budget(cfg, n, dynamic)
-	case "mockingjay":
-		cfg := mockingjay.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores, SampledSets: n}
-		shared, err := mockingjay.NewShared(cfg, fab)
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = mockingjay.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = mockingjay.Budget(cfg, n, dynamic)
-	case "ship++":
-		cfg := shippp.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores, SampledSets: n}
-		shared, err := shippp.NewShared(cfg, fab)
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = shippp.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = shippp.Budget(cfg, n, dynamic)
-	case "glider":
-		cfg := glider.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores, SampledSets: n}
-		shared, err := glider.NewShared(cfg, fab)
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = glider.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = glider.Budget(cfg, n, dynamic)
-	case "chrome":
-		cfg := chrome.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores}
-		shared, err := chrome.NewShared(cfg, fab, rnd.Fork(7))
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = chrome.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = chrome.Budget(cfg, dynamic)
-	case "sdbp":
-		cfg := sdbp.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores, SampledSets: n}
-		shared, err := sdbp.NewShared(cfg, fab)
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = sdbp.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = sdbp.Budget(cfg, n, dynamic)
-	case "leeway":
-		cfg := leeway.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores, SampledSets: n}
-		shared, err := leeway.NewShared(cfg, fab)
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = leeway.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = leeway.Budget(cfg, n, dynamic)
-	case "perceptron":
-		cfg := perceptron.Config{Sets: g.SetsPerSlice, Ways: g.Ways, Slices: g.Slices, Cores: g.Cores, SampledSets: n}
-		shared, err := perceptron.NewShared(cfg, fab)
-		if err != nil {
-			return nil, err
-		}
-		b.Shared = shared
-		for i := range b.PerSlice {
-			b.PerSlice[i] = perceptron.NewSlice(shared, i, b.Selectors[i])
-		}
-		b.Budget = perceptron.Budget(cfg, n, dynamic)
-	default:
-		return nil, fmt.Errorf("policies: unknown predictor policy %q", spec.Name)
-	}
+	b.Shared = pred.build(g, fab, rnd, b.Selectors, b.PerSlice)
+	b.Budget = pred.budget(g, spec.dynamicSampler())
 	return b, nil
 }
 
-func buildBasic(spare *Built, spec Spec, g Geometry, rnd *stats.Rand, b *Built) (*Built, error) {
+// predictor is one sampled-cache + reuse-predictor policy (Table 7's
+// prediction-based category): build makes its shared, fabric-banked state
+// and one instance per slice over that slice's selector, and budget reports
+// its per-core storage in bytes (Table 3).
+type predictor struct {
+	build  func(g repl.Geometry, fab *fabric.Fabric, rnd *stats.Rand, sels []sampler.SetSelector, perSlice []repl.Policy) (shared any)
+	budget func(g repl.Geometry, dynamic bool) map[string]int
+}
+
+// predictors is every predictor policy Build accepts, by Spec.Name.
+var predictors = map[string]predictor{
+	"hawkeye":    banked(unseeded(hawkeye.NewShared), hawkeye.NewSlice, hawkeye.Budget),
+	"mockingjay": banked(unseeded(mockingjay.NewShared), mockingjay.NewSlice, mockingjay.Budget),
+	"ship++":     banked(unseeded(shippp.NewShared), shippp.NewSlice, shippp.Budget),
+	"glider":     banked(unseeded(glider.NewShared), glider.NewSlice, glider.Budget),
+	"chrome": banked(func(g repl.Geometry, fab *fabric.Fabric, rnd *stats.Rand) *chrome.Shared {
+		return chrome.NewShared(g, fab, rnd.Fork(7))
+	}, chrome.NewSlice, chrome.Budget),
+	"sdbp":       banked(unseeded(sdbp.NewShared), sdbp.NewSlice, sdbp.Budget),
+	"leeway":     banked(unseeded(leeway.NewShared), leeway.NewSlice, leeway.Budget),
+	"perceptron": banked(unseeded(perceptron.NewShared), perceptron.NewSlice, perceptron.Budget),
+}
+
+// banked makes a predictor from a policy package's constructors: newShared
+// builds the banked state, newSlice one slice's instance over it.
+func banked[S any, P repl.Policy](
+	newShared func(repl.Geometry, *fabric.Fabric, *stats.Rand) *S,
+	newSlice func(*S, int, sampler.SetSelector) P,
+	budget func(repl.Geometry, bool) map[string]int,
+) predictor {
+	build := func(g repl.Geometry, fab *fabric.Fabric, rnd *stats.Rand, sels []sampler.SetSelector, perSlice []repl.Policy) any {
+		shared := newShared(g, fab, rnd)
+		for i := range perSlice {
+			perSlice[i] = newSlice(shared, i, sels[i])
+		}
+		return shared
+	}
+	return predictor{build: build, budget: budget}
+}
+
+// unseeded adapts a newShared that draws nothing from the build's Rand.
+func unseeded[S any](newShared func(repl.Geometry, *fabric.Fabric) *S) func(repl.Geometry, *fabric.Fabric, *stats.Rand) *S {
+	return func(g repl.Geometry, fab *fabric.Fabric, _ *stats.Rand) *S { return newShared(g, fab) }
+}
+
+func buildBasic(spare *Built, spec Spec, g repl.Geometry, rnd *stats.Rand, b *Built) (*Built, error) {
 	for i := range b.PerSlice {
 		var old repl.Policy
 		if spare != nil && i < len(spare.PerSlice) {
@@ -352,7 +303,7 @@ func buildBasic(spare *Built, spec Spec, g Geometry, rnd *stats.Rand, b *Built) 
 	return b, nil
 }
 
-func buildSelector(spec Spec, g Geometry, n, slice int, rnd *stats.Rand) (sampler.SetSelector, error) {
+func buildSelector(spec Spec, g repl.Geometry, slice int, rnd *stats.Rand) (sampler.SetSelector, error) {
 	if len(spec.FixedPerSlice) > 0 {
 		return sampler.NewFixed(spec.FixedPerSlice[slice%len(spec.FixedPerSlice)]), nil
 	}
@@ -360,10 +311,10 @@ func buildSelector(spec Spec, g Geometry, n, slice int, rnd *stats.Rand) (sample
 		return sampler.NewFixed(spec.FixedSampledSets), nil
 	}
 	if spec.dynamicSampler() {
-		cfg := sampler.DynamicConfig{N: n}.Normalize(g.SetsPerSlice, g.Ways)
+		cfg := sampler.DynamicConfig{N: g.SampledSets}.Normalize(g.SetsPerSlice, g.Ways)
 		return sampler.NewDynamic(cfg, rnd)
 	}
-	return sampler.NewStatic(g.SetsPerSlice, n, rnd), nil
+	return sampler.NewStatic(g.SetsPerSlice, g.SampledSets, rnd), nil
 }
 
 // KnownPolicies lists the policy names Build accepts.
@@ -398,11 +349,10 @@ func (d *dynamicDIP) OnAccess(set int, a repl.Access, hit bool) {
 	d.DIP.OnAccess(set, a, hit)
 }
 
-func buildDynamicDIP(spec Spec, g Geometry, rnd *stats.Rand, b *Built) (*Built, error) {
-	n := spec.sampledSets(g.SetsPerSlice)
+func buildDynamicDIP(spec Spec, g repl.Geometry, rnd *stats.Rand, b *Built) (*Built, error) {
 	b.Selectors = make([]sampler.SetSelector, g.Slices)
 	for i := range b.PerSlice {
-		sel, err := buildSelector(spec, g, n, i, rnd.Fork(uint64(i)+101))
+		sel, err := buildSelector(spec, g, i, rnd.Fork(uint64(i)+101))
 		if err != nil {
 			return nil, err
 		}

@@ -1,15 +1,17 @@
 package policies
 
 import (
+	"strings"
 	"testing"
 
 	"drishti/internal/fabric"
 	"drishti/internal/noc"
+	"drishti/internal/repl"
 	"drishti/internal/sampler"
 	"drishti/internal/stats"
 )
 
-func geo() Geometry { return Geometry{Slices: 4, Cores: 4, SetsPerSlice: 256, Ways: 16} }
+func geo() repl.Geometry { return repl.Geometry{Slices: 4, Cores: 4, SetsPerSlice: 256, Ways: 16} }
 
 func buildSpec(t *testing.T, spec Spec) *Built {
 	t.Helper()
@@ -120,11 +122,45 @@ func TestNonPredictorHasNoFabric(t *testing.T) {
 }
 
 func TestBudgetsPopulated(t *testing.T) {
-	for _, name := range []string{"hawkeye", "mockingjay", "ship++", "glider", "chrome"} {
+	for _, name := range KnownPolicies() {
+		if !(Spec{Name: name}).IsPredictorBased() {
+			continue
+		}
 		b := buildSpec(t, Spec{Name: name})
 		if len(b.Budget) == 0 {
 			t.Fatalf("%s: empty budget", name)
 		}
+	}
+}
+
+// TestRenewValidatesGeometry pins the one geometry check every predictor
+// policy relies on: a non-positive dimension and more sampled sets than a
+// slice has sets are both errors, named as before the check moved here.
+func TestRenewValidatesGeometry(t *testing.T) {
+	for _, g := range []repl.Geometry{
+		{Slices: 0, Cores: 4, SetsPerSlice: 256, Ways: 16},
+		{Slices: 4, Cores: 0, SetsPerSlice: 256, Ways: 16},
+		{Slices: 4, Cores: 4, SetsPerSlice: 0, Ways: 16},
+		{Slices: 4, Cores: 4, SetsPerSlice: 256, Ways: 0},
+	} {
+		_, err := Build(Spec{Name: "hawkeye"}, g, noc.NewMesh(4, 4, 2), nil, stats.NewRand(1))
+		if err == nil || !strings.HasPrefix(err.Error(), "policies: invalid geometry") {
+			t.Errorf("geometry %+v: err %v, want invalid geometry", g, err)
+		}
+	}
+	for _, spec := range []Spec{
+		{Name: "hawkeye", SampledSets: 257},
+		{Name: "ship++", Drishti: true, SampledSets: 257},
+		{Name: "dip", DynamicSampler: BoolPtr(true), SampledSets: 257},
+	} {
+		_, err := Build(spec, geo(), noc.NewMesh(4, 4, 2), noc.NewStar(4, 3), stats.NewRand(1))
+		want := spec.Name + ": 257 sampled sets exceed 256 sets"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", spec.DisplayName(), err, want)
+		}
+	}
+	if _, err := Build(Spec{Name: "mockingjay", SampledSets: 256}, geo(), noc.NewMesh(4, 4, 2), nil, stats.NewRand(1)); err != nil {
+		t.Errorf("every set sampled: %v", err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // arbitrary interleaving of loads, stores, prefetches, writebacks, hits,
 // fills, and evictions.
 func TestAllPoliciesSurviveArbitraryAccessStreams(t *testing.T) {
-	g := Geometry{Slices: 2, Cores: 2, SetsPerSlice: 32, Ways: 4}
+	g := repl.Geometry{Slices: 2, Cores: 2, SetsPerSlice: 32, Ways: 4}
 	var specs []Spec
 	for _, name := range KnownPolicies() {
 		specs = append(specs, Spec{Name: name})

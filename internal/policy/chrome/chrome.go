@@ -12,8 +12,6 @@
 package chrome
 
 import (
-	"fmt"
-
 	"drishti/internal/fabric"
 	"drishti/internal/mem"
 	"drishti/internal/repl"
@@ -21,41 +19,16 @@ import (
 	"drishti/internal/stats"
 )
 
-// Config sizes CHROME for one LLC slice population.
-type Config struct {
-	Sets       int
-	Ways       int
-	Slices     int
-	Cores      int
-	PCBuckets  int  // PC-signature states per bank (default 1024)
-	Epsilon    int  // exploration: 1-in-Epsilon random action (default 64)
-	LearnShift uint // learning rate = 1/2^LearnShift (default 3)
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.PCBuckets == 0 {
-		c.PCBuckets = 1024
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 64
-	}
-	if c.LearnShift == 0 {
-		c.LearnShift = 3
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("chrome: geometry must be positive: %+v", c)
-	}
-	if c.PCBuckets&(c.PCBuckets-1) != 0 {
-		return fmt.Errorf("chrome: PC buckets must be a power of two")
-	}
-	return nil
-}
+// Table and learning sizes.
+const (
+	// PCBuckets is the PC-signature states per Q-table bank: 1024
+	// buckets × 4 pressure levels × 4 actions of 16-bit Q, 32 KB.
+	PCBuckets = 1024
+	// Epsilon sets exploration: one fill in Epsilon takes a random action.
+	Epsilon = 64
+	// LearnShift sets the learning rate, 1/2^LearnShift.
+	LearnShift = 3
+)
 
 // Actions the agent can take on a fill.
 const (
@@ -80,7 +53,7 @@ const (
 
 // Shared holds the banked Q-tables.
 type Shared struct {
-	cfg Config
+	g   repl.Geometry
 	fab *fabric.Fabric
 	// bank × (pcBucket × pressure) × action
 	q   [][]([numActions]qValue)
@@ -88,34 +61,27 @@ type Shared struct {
 }
 
 // NewShared allocates Q-table banks.
-func NewShared(cfg Config, fab *fabric.Fabric, rnd *stats.Rand) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab, rnd: rnd}
-	states := cfg.PCBuckets * numPressure
+func NewShared(g repl.Geometry, fab *fabric.Fabric, rnd *stats.Rand) *Shared {
+	s := &Shared{g: g, fab: fab, rnd: rnd}
+	states := PCBuckets * numPressure
 	s.q = make([][]([numActions]qValue), fab.NumBanks())
 	for i := range s.q {
 		s.q[i] = make([]([numActions]qValue), states)
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 func (s *Shared) state(pc uint64, core, pressure int) uint32 {
 	h := pc*0x9e3779b97f4a7c15 ^ uint64(core)*0xd6e8feb86659fd93
 	h ^= h >> 33
-	bucket := uint32(h) & uint32(s.cfg.PCBuckets-1)
+	bucket := uint32(h) & (PCBuckets - 1)
 	return bucket*numPressure + uint32(pressure)
 }
 
 // choose picks an action ε-greedily from the bank serving (slice, core).
 func (s *Shared) choose(slice int, a repl.Access, state uint32) (action int, lat uint32) {
 	b, lat := s.fab.PredictBank(slice, a.Core, a.Cycle)
-	if s.rnd.Intn(s.cfg.Epsilon) == 0 {
+	if s.rnd.Intn(Epsilon) == 0 {
 		return s.rnd.Intn(numActions), lat
 	}
 	q := &s.q[b][state]
@@ -133,7 +99,7 @@ func (s *Shared) choose(slice int, a repl.Access, state uint32) (action int, lat
 func (s *Shared) learn(slice int, a repl.Access, state uint32, action int, reward int32) {
 	for _, b := range s.fab.TrainBanks(slice, a.Core, a.Cycle) {
 		q := &s.q[b][state]
-		q[action] += qValue((reward - int32(q[action])) >> s.cfg.LearnShift)
+		q[action] += qValue((reward - int32(q[action])) >> LearnShift)
 	}
 }
 
@@ -165,13 +131,13 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	p := &Slice{
 		shared:  shared,
 		sliceID: sliceID,
 		sel:     sel,
-		rrpv:    make([]uint8, cfg.Sets*cfg.Ways),
-		lines:   make([]lineState, cfg.Sets*cfg.Ways),
+		rrpv:    make([]uint8, g.Lines()),
+		lines:   make([]lineState, g.Lines()),
 	}
 	for i := range p.rrpv {
 		p.rrpv[i] = 3
@@ -185,18 +151,18 @@ func (p *Slice) Name() string { return "chrome" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // pressure buckets the set's recently-reused occupancy into [0,numPressure).
 func (p *Slice) pressure(set int) int {
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	hot := 0
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	for w := 0; w < p.shared.g.Ways; w++ {
 		if p.rrpv[base+w] == 0 {
 			hot++
 		}
 	}
-	return hot * (numPressure - 1) / p.shared.cfg.Ways
+	return hot * (numPressure - 1) / p.shared.g.Ways
 }
 
 // OnAccess implements repl.Observer.
@@ -237,14 +203,14 @@ func (p *Slice) Victim(set int, a repl.Access) int {
 			return repl.Bypass
 		}
 	}
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	for {
-		for w := 0; w < p.shared.cfg.Ways; w++ {
+		for w := 0; w < p.shared.g.Ways; w++ {
 			if p.rrpv[base+w] >= 3 {
 				return w
 			}
 		}
-		for w := 0; w < p.shared.cfg.Ways; w++ {
+		for w := 0; w < p.shared.g.Ways; w++ {
 			p.rrpv[base+w]++
 		}
 	}
@@ -291,15 +257,14 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 }
 
 // Budget reports per-core storage in bytes.
-func Budget(cfg Config, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
 	out := map[string]int{
-		"q-table":       cfg.PCBuckets * numPressure * numActions * 2, // 16-bit Q
-		"rrpv":          cfg.Sets * cfg.Ways * 2 / 8,
-		"line-metadata": cfg.Sets * cfg.Ways * 3,
+		"q-table":       PCBuckets * numPressure * numActions * 2, // 16-bit Q
+		"rrpv":          g.Lines() * 2 / 8,
+		"line-metadata": g.Lines() * 3,
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets
+		out["saturating-counters"] = g.SetsPerSlice
 	}
 	return out
 }

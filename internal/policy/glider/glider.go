@@ -12,8 +12,6 @@
 package glider
 
 import (
-	"fmt"
-
 	"drishti/internal/fabric"
 	"drishti/internal/mem"
 	"drishti/internal/policy/optgen"
@@ -21,48 +19,17 @@ import (
 	"drishti/internal/sampler"
 )
 
-// Config sizes Glider for one LLC slice population.
-type Config struct {
-	Sets          int
-	Ways          int
-	Slices        int
-	Cores         int
-	SampledSets   int // per slice (default 64)
-	ISVMEntries   int // PC-indexed weight vectors per bank (default 2048)
-	HistoryLen    int // PCHR depth (default 5)
-	HistoryFactor int // OPTgen window = HistoryFactor×Ways (default 8)
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.SampledSets == 0 {
-		c.SampledSets = 64
-	}
-	if c.ISVMEntries == 0 {
-		c.ISVMEntries = 2048
-	}
-	if c.HistoryLen == 0 {
-		c.HistoryLen = 5
-	}
-	if c.HistoryFactor == 0 {
-		c.HistoryFactor = 8
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("glider: geometry must be positive: %+v", c)
-	}
-	if c.ISVMEntries&(c.ISVMEntries-1) != 0 {
-		return fmt.Errorf("glider: ISVM entries must be a power of two")
-	}
-	if c.HistoryLen <= 0 || c.HistoryLen > 16 {
-		return fmt.Errorf("glider: history length %d out of range", c.HistoryLen)
-	}
-	return nil
-}
+// Table sizes.
+const (
+	// ISVMEntries is the PC-indexed weight vectors per bank: 2048 × 16
+	// 6-bit weights, 24 KB.
+	ISVMEntries = 2048
+	// HistoryLen is the PCHR depth: the last 5 demand-load PCs per core.
+	HistoryLen = 5
+	// HistoryFactor sizes OPTgen's window: HistoryFactor×Ways accesses of
+	// a sampled set, as in Hawkeye.
+	HistoryFactor = 8
+)
 
 const (
 	weightMax   = 31 // ISVM weights saturate at ±31 (6-bit)
@@ -80,37 +47,30 @@ type isvmEntry [1 << featureBits]int8
 // architectural core state (the last HistoryLen load PCs), so it is global
 // by construction; what Drishti changes is where the *weights* live.
 type Shared struct {
-	cfg  Config
+	g    repl.Geometry
 	fab  *fabric.Fabric
 	bank [][]isvmEntry
 	pchr [][]uint8 // cores × HistoryLen hashed features
 }
 
 // NewShared allocates ISVM banks and PCHRs.
-func NewShared(cfg Config, fab *fabric.Fabric) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab}
+func NewShared(g repl.Geometry, fab *fabric.Fabric) *Shared {
+	s := &Shared{g: g, fab: fab}
 	s.bank = make([][]isvmEntry, fab.NumBanks())
 	for i := range s.bank {
-		s.bank[i] = make([]isvmEntry, cfg.ISVMEntries)
+		s.bank[i] = make([]isvmEntry, ISVMEntries)
 	}
-	s.pchr = make([][]uint8, cfg.Cores)
+	s.pchr = make([][]uint8, g.Cores)
 	for i := range s.pchr {
-		s.pchr[i] = make([]uint8, cfg.HistoryLen)
+		s.pchr[i] = make([]uint8, HistoryLen)
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 func (s *Shared) index(pc uint64, core int) uint32 {
 	h := pc*0x9e3779b97f4a7c15 ^ uint64(core)*0xff51afd7ed558ccd
 	h ^= h >> 30
-	return uint32(h) & uint32(s.cfg.ISVMEntries-1)
+	return uint32(h) & (ISVMEntries - 1)
 }
 
 func feature(pc uint64) uint8 {
@@ -137,7 +97,7 @@ func (s *Shared) historySnapshot(core int) uint64 {
 func (s *Shared) sum(bank int, sig uint32, snap uint64) int {
 	e := &s.bank[bank][sig]
 	total := 0
-	for i := 0; i < s.cfg.HistoryLen; i++ {
+	for i := 0; i < HistoryLen; i++ {
 		f := uint8(snap>>(uint(i)*featureBits)) & (1<<featureBits - 1)
 		total += int(e[f])
 	}
@@ -153,7 +113,7 @@ func (s *Shared) train(slice int, a repl.Access, sig uint32, snap uint64, friend
 			continue // outside margin: converged
 		}
 		e := &s.bank[b][sig]
-		for i := 0; i < s.cfg.HistoryLen; i++ {
+		for i := 0; i < HistoryLen; i++ {
 			f := uint8(snap>>(uint(i)*featureBits)) & (1<<featureBits - 1)
 			w := &e[f]
 			if friendly {
@@ -193,18 +153,18 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	p := &Slice{
 		shared:   shared,
 		sliceID:  sliceID,
 		sel:      sel,
 		selGen:   sel.Generation(),
-		rrpv:     make([]uint8, cfg.Sets*cfg.Ways),
-		lineSig:  make([]uint32, cfg.Sets*cfg.Ways),
-		lineSnap: make([]uint64, cfg.Sets*cfg.Ways),
-		lineCore: make([]uint16, cfg.Sets*cfg.Ways),
-		lineFrnd: make([]bool, cfg.Sets*cfg.Ways),
-		samples:  make([]*optgen.Set, cfg.Sets),
+		rrpv:     make([]uint8, g.Lines()),
+		lineSig:  make([]uint32, g.Lines()),
+		lineSnap: make([]uint64, g.Lines()),
+		lineCore: make([]uint16, g.Lines()),
+		lineFrnd: make([]bool, g.Lines()),
+		samples:  make([]*optgen.Set, g.SetsPerSlice),
 	}
 	for i := range p.rrpv {
 		p.rrpv[i] = rrpvMax
@@ -218,7 +178,7 @@ func (p *Slice) Name() string { return "glider" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // maybeFlush drops sampled history for sets no longer sampled; sets that
 // stay selected keep their history.
@@ -248,7 +208,7 @@ func (p *Slice) OnAccess(set int, a repl.Access, hit bool) {
 	}
 	ss := p.samples[set]
 	if ss == nil {
-		ss = optgen.NewSet(p.shared.cfg.HistoryFactor*p.shared.cfg.Ways, p.shared.cfg.Ways)
+		ss = optgen.NewSet(HistoryFactor*p.shared.g.Ways, p.shared.g.Ways)
 		p.samples[set] = ss
 	}
 	sig := p.shared.index(a.PC, a.Core)
@@ -280,9 +240,9 @@ func (p *Slice) OnHit(set, way int, a repl.Access) {
 
 // Victim implements repl.Policy.
 func (p *Slice) Victim(set int, _ repl.Access) int {
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	maxW, maxV := 0, p.rrpv[base]
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	for w := 0; w < p.shared.g.Ways; w++ {
 		v := p.rrpv[base+w]
 		if v == rrpvMax {
 			return w
@@ -324,8 +284,8 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 		p.rrpv[i] = rrpvMax
 		return
 	}
-	base := set * p.shared.cfg.Ways
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	base := set * p.shared.g.Ways
+	for w := 0; w < p.shared.g.Ways; w++ {
 		if base+w != i && p.rrpv[base+w] < rrpvMax-1 {
 			p.rrpv[base+w]++
 		}
@@ -334,17 +294,16 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 }
 
 // Budget reports per-core storage in bytes.
-func Budget(cfg Config, sampledSets int, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
-	entries := cfg.HistoryFactor * cfg.Ways
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
+	entries := HistoryFactor * g.Ways
 	out := map[string]int{
-		"sampled-cache": sampledSets * entries * 33 / 8,
-		"isvm":          cfg.ISVMEntries * (1 << featureBits) * 6 / 8,
-		"pchr":          cfg.HistoryLen,
-		"rrip-counters": cfg.Sets * cfg.Ways * 3 / 8,
+		"sampled-cache": g.SampledSets * entries * 33 / 8,
+		"isvm":          ISVMEntries * (1 << featureBits) * 6 / 8,
+		"pchr":          HistoryLen,
+		"rrip-counters": g.Lines() * 3 / 8,
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets
+		out["saturating-counters"] = g.SetsPerSlice
 	}
 	return out
 }

@@ -13,11 +13,8 @@ import (
 func build(t *testing.T, sets, ways int) (*Shared, *Slice) {
 	t.Helper()
 	fab := fabric.MustNew(fabric.Config{Placement: fabric.Local, Slices: 1, Cores: 1})
-	cfg := Config{Sets: sets, Ways: ways, Slices: 1, Cores: 1, SampledSets: sets}
-	sh, err := NewShared(cfg, fab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := repl.Geometry{SetsPerSlice: sets, Ways: ways, Slices: 1, Cores: 1, SampledSets: sets}
+	sh := NewShared(cfg, fab)
 	sel := sampler.NewStatic(sets, sets, stats.NewRand(1))
 	return sh, NewSlice(sh, 0, sel)
 }
@@ -76,7 +73,7 @@ func TestMarginStopsTraining(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sh.train(0, repl.Access{}, sig, snap, true)
 	}
-	if got := sh.sum(0, sig, snap); got > int(weightMax)*sh.cfg.HistoryLen {
+	if got := sh.sum(0, sig, snap); got > int(weightMax)*HistoryLen {
 		t.Fatalf("weights beyond saturation: %d", got)
 	}
 }
@@ -150,14 +147,8 @@ func TestHitPromotes(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if err := (Config{Sets: 4, Ways: 2, Slices: 1, Cores: 1, ISVMEntries: 3}).Validate(); err == nil {
-		t.Fatal("non-power-of-two ISVM accepted")
-	}
-	if err := (Config{Sets: 4, Ways: 2, Slices: 1, Cores: 1, HistoryLen: 99}).Normalize().Validate(); err == nil {
-		t.Fatal("absurd history accepted")
-	}
-	if Budget(Config{Sets: 2048, Ways: 16, Slices: 32, Cores: 32}, 64, true)["saturating-counters"] != 2048 {
+func TestBudgetSaturatingCounters(t *testing.T) {
+	if Budget(repl.Geometry{SetsPerSlice: 2048, Ways: 16, Slices: 32, Cores: 32, SampledSets: 64}, true)["saturating-counters"] != 2048 {
 		t.Fatal("budget counters wrong")
 	}
 }

@@ -10,7 +10,6 @@
 package hawkeye
 
 import (
-	"fmt"
 	"math"
 
 	"drishti/internal/fabric"
@@ -20,44 +19,15 @@ import (
 	"drishti/internal/sampler"
 )
 
-// Config sizes Hawkeye for one LLC slice population.
-type Config struct {
-	Sets             int // sets per slice
-	Ways             int // slice associativity
-	Slices           int
-	Cores            int
-	SampledSets      int // per slice (paper: 64 baseline, 8 with Drishti)
-	PredictorEntries int // per bank, 3-bit counters (default 8192)
-	HistoryFactor    int // OPTgen window = HistoryFactor×Ways (default 8)
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.SampledSets == 0 {
-		c.SampledSets = 64
-	}
-	if c.PredictorEntries == 0 {
-		c.PredictorEntries = 8192
-	}
-	if c.HistoryFactor == 0 {
-		c.HistoryFactor = 8
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("hawkeye: geometry must be positive: %+v", c)
-	}
-	if c.SampledSets > c.Sets {
-		return fmt.Errorf("hawkeye: %d sampled sets exceed %d sets", c.SampledSets, c.Sets)
-	}
-	if c.PredictorEntries&(c.PredictorEntries-1) != 0 {
-		return fmt.Errorf("hawkeye: predictor entries must be a power of two")
-	}
-	return nil
-}
+// Table sizes (Table 3).
+const (
+	// PredictorEntries is the 3-bit counters per predictor bank: 8K
+	// entries, 3 KB.
+	PredictorEntries = 8192
+	// HistoryFactor sizes OPTgen's window: HistoryFactor×Ways accesses of
+	// a sampled set, 8× the cache as in the paper.
+	HistoryFactor = 8
+)
 
 const (
 	counterMax = 7 // 3-bit saturating counters
@@ -67,31 +37,24 @@ const (
 
 // Shared holds state common to every slice: the banked reuse predictor.
 type Shared struct {
-	cfg  Config
+	g    repl.Geometry
 	fab  *fabric.Fabric
 	bank [][]uint8 // NumBanks × PredictorEntries, 3-bit counters
 }
 
 // NewShared allocates the predictor banks for the given fabric placement.
-func NewShared(cfg Config, fab *fabric.Fabric) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab}
+func NewShared(g repl.Geometry, fab *fabric.Fabric) *Shared {
+	s := &Shared{g: g, fab: fab}
 	s.bank = make([][]uint8, fab.NumBanks())
 	for i := range s.bank {
-		b := make([]uint8, cfg.PredictorEntries)
+		b := make([]uint8, PredictorEntries)
 		for j := range b {
 			b[j] = friendlyAt // start weakly friendly, like the reference code
 		}
 		s.bank[i] = b
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 // index hashes (PC, core, prefetch-bit) into a predictor entry. Per-core
 // indexing matches Mockingjay-style per-slice-per-core predictors (Fig 1)
@@ -102,7 +65,7 @@ func (s *Shared) index(pc uint64, core int, prefetch bool) uint32 {
 		h ^= 0x94d049bb133111eb
 	}
 	h ^= h >> 29
-	return uint32(h) & uint32(s.cfg.PredictorEntries-1)
+	return uint32(h) & (PredictorEntries - 1)
 }
 
 // train moves the counter for sig toward friendly (true) or averse (false)
@@ -150,17 +113,17 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	p := &Slice{
 		shared:   shared,
 		sliceID:  sliceID,
 		sel:      sel,
 		selGen:   sel.Generation(),
-		rrpv:     make([]uint8, cfg.Sets*cfg.Ways),
-		lineSig:  make([]uint32, cfg.Sets*cfg.Ways),
-		lineCore: make([]uint16, cfg.Sets*cfg.Ways),
-		lineFrnd: make([]bool, cfg.Sets*cfg.Ways),
-		samples:  make([]*optgen.Set, cfg.Sets),
+		rrpv:     make([]uint8, g.Lines()),
+		lineSig:  make([]uint32, g.Lines()),
+		lineCore: make([]uint16, g.Lines()),
+		lineFrnd: make([]bool, g.Lines()),
+		samples:  make([]*optgen.Set, g.SetsPerSlice),
 	}
 	for i := range p.rrpv {
 		p.rrpv[i] = rrpvMax
@@ -174,7 +137,7 @@ func (p *Slice) Name() string { return "hawkeye" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // maybeFlush drops sampled history for sets the dynamic sampled cache no
 // longer samples. Sets that stay selected (persistent hot sets) keep their
@@ -204,7 +167,7 @@ func (p *Slice) OnAccess(set int, a repl.Access, hit bool) {
 	}
 	ss := p.samples[set]
 	if ss == nil {
-		ss = optgen.NewSet(p.shared.cfg.HistoryFactor*p.shared.cfg.Ways, p.shared.cfg.Ways)
+		ss = optgen.NewSet(HistoryFactor*p.shared.g.Ways, p.shared.g.Ways)
 		p.samples[set] = ss
 	}
 	sig := p.shared.index(a.PC, a.Core, a.Type == mem.Prefetch)
@@ -239,7 +202,7 @@ func (p *Slice) OnHit(set, way int, a repl.Access) {
 // way's inverted RRPV above its index and keeps the smallest key: one
 // branch-free min per way, with the lowest way winning ties.
 func (p *Slice) Victim(set int, _ repl.Access) int {
-	ways := p.shared.cfg.Ways
+	ways := p.shared.g.Ways
 	best := uint32(math.MaxUint32)
 	for w, v := range p.rrpv[set*ways : set*ways+ways] {
 		best = min(best, uint32(rrpvMax-v)<<16|uint32(w))
@@ -282,8 +245,8 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 	}
 	p.InsertFriendly++
 	// Age everyone else so older friendly lines become evictable.
-	base := set * p.shared.cfg.Ways
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	base := set * p.shared.g.Ways
+	for w := 0; w < p.shared.g.Ways; w++ {
 		if base+w != i && p.rrpv[base+w] < rrpvMax-1 {
 			p.rrpv[base+w]++
 		}
@@ -297,20 +260,19 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 // the 8K-entry 3-bit predictor 3 KB, and the 3-bit RRIP state 12 KB for a
 // 2048×16 slice. Drishti's 8-set configuration keeps wider entries, so its
 // sampled cache floors at 3 KB.
-func Budget(cfg Config, sampledSets int, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
-	sampledBytes := 12 * 1024 * sampledSets / 64
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
+	sampledBytes := 12 * 1024 * g.SampledSets / 64
 	if dynamic && sampledBytes < 3*1024 {
 		sampledBytes = 3 * 1024
 	}
 	out := map[string]int{
 		"sampled-cache":    sampledBytes,
 		"occupancy-vector": 1024,
-		"predictor":        cfg.PredictorEntries * 3 / 8,
-		"rrip-counters":    cfg.Sets * cfg.Ways * 3 / 8,
+		"predictor":        PredictorEntries * 3 / 8,
+		"rrip-counters":    g.Lines() * 3 / 8,
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets // 2048 × 1 B
+		out["saturating-counters"] = g.SetsPerSlice // 2048 × 1 B
 	}
 	return out
 }

@@ -23,11 +23,8 @@ func build(t testing.TB, placement fabric.Placement, sets, ways, slices int) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Sets: sets, Ways: ways, Slices: slices, Cores: slices, SampledSets: sets}
-	sh, err := NewShared(cfg, fab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := repl.Geometry{SetsPerSlice: sets, Ways: ways, Slices: slices, Cores: slices, SampledSets: sets}
+	sh := NewShared(cfg, fab)
 	var ps []*Slice
 	for i := 0; i < slices; i++ {
 		sel := sampler.NewStatic(sets, sets, stats.NewRand(uint64(i))) // all sets sampled
@@ -38,15 +35,6 @@ func build(t testing.TB, placement fabric.Placement, sets, ways, slices int) (*S
 
 func access(pc, block uint64, typ mem.AccessType) repl.Access {
 	return repl.Access{PC: pc, Block: block, Type: typ}
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{Sets: 4, Ways: 2, Slices: 1, Cores: 1, SampledSets: 8}).Validate(); err == nil {
-		t.Fatal("sampled sets > sets accepted")
-	}
-	if err := (Config{}).Normalize().Validate(); err == nil {
-		t.Fatal("zero geometry accepted")
-	}
 }
 
 func TestLearnsScanIsAverse(t *testing.T) {
@@ -126,11 +114,8 @@ func TestLocalIsMyopicGlobalIsNot(t *testing.T) {
 
 func TestGenerationFlushDropsUnsampledSets(t *testing.T) {
 	fab := fabric.MustNew(fabric.Config{Placement: fabric.Local, Slices: 1, Cores: 1})
-	cfg := Config{Sets: 16, Ways: 2, Slices: 1, Cores: 1, SampledSets: 4}
-	sh, err := NewShared(cfg, fab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := repl.Geometry{SetsPerSlice: 16, Ways: 2, Slices: 1, Cores: 1, SampledSets: 4}
+	sh := NewShared(cfg, fab)
 	dyn := sampler.MustDynamic(sampler.DynamicConfig{
 		Sets: 16, N: 4, CounterBits: 8, MonitorLen: 64, ActiveLen: 64, UniformThreshold: 1,
 	}, stats.NewRand(1))
@@ -154,9 +139,11 @@ func TestGenerationFlushDropsUnsampledSets(t *testing.T) {
 }
 
 func TestBudget(t *testing.T) {
-	cfg := Config{Sets: 2048, Ways: 16, Slices: 32, Cores: 32}
-	without := Budget(cfg, 64, false)
-	with := Budget(cfg, 8, true)
+	base := repl.Geometry{SetsPerSlice: 2048, Ways: 16, Slices: 32, Cores: 32, SampledSets: 64}
+	drishti := base
+	drishti.SampledSets = 8
+	without := Budget(base, false)
+	with := Budget(drishti, true)
 	sum := func(m map[string]int) int {
 		t := 0
 		for _, v := range m {

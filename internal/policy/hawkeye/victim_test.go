@@ -11,9 +11,9 @@ import (
 // refVictim is the scan Victim replaced: return the first way at rrpvMax
 // as soon as it is seen, else the first way holding the largest RRPV.
 func refVictim(p *Slice, set int) int {
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	maxW, maxV := 0, p.rrpv[base]
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	for w := 0; w < p.shared.g.Ways; w++ {
 		v := p.rrpv[base+w]
 		if v == rrpvMax {
 			return w

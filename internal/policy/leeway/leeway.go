@@ -9,49 +9,20 @@
 package leeway
 
 import (
-	"fmt"
-
 	"drishti/internal/fabric"
 	"drishti/internal/mem"
 	"drishti/internal/repl"
 	"drishti/internal/sampler"
 )
 
-// Config sizes Leeway for one LLC slice population.
-type Config struct {
-	Sets        int
-	Ways        int
-	Slices      int
-	Cores       int
-	SampledSets int
-	Entries     int // predictor entries per bank (default 4096)
-	MaxLeeway   int // leeway ceiling in set accesses (default 64)
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.SampledSets == 0 {
-		c.SampledSets = 64
-	}
-	if c.Entries == 0 {
-		c.Entries = 4096
-	}
-	if c.MaxLeeway == 0 {
-		c.MaxLeeway = 64
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("leeway: geometry must be positive: %+v", c)
-	}
-	if c.Entries&(c.Entries-1) != 0 {
-		return fmt.Errorf("leeway: entries must be a power of two")
-	}
-	return nil
-}
+// Table sizes.
+const (
+	// Entries is the predictor entries per bank: 4096 × 10-bit leeway +
+	// confidence, 5 KB.
+	Entries = 4096
+	// MaxLeeway is the leeway ceiling in set accesses.
+	MaxLeeway = 64
+)
 
 // lwEntry is a learned leeway value with hysteresis, following the paper's
 // variability-tolerant update policy.
@@ -63,39 +34,32 @@ type lwEntry struct {
 
 // Shared holds the banked leeway predictor.
 type Shared struct {
-	cfg  Config
+	g    repl.Geometry
 	fab  *fabric.Fabric
 	bank [][]lwEntry
 }
 
 // NewShared allocates predictor banks.
-func NewShared(cfg Config, fab *fabric.Fabric) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab}
+func NewShared(g repl.Geometry, fab *fabric.Fabric) *Shared {
+	s := &Shared{g: g, fab: fab}
 	s.bank = make([][]lwEntry, fab.NumBanks())
 	for i := range s.bank {
-		s.bank[i] = make([]lwEntry, cfg.Entries)
+		s.bank[i] = make([]lwEntry, Entries)
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 func (s *Shared) index(pc uint64, core int) uint32 {
 	h := pc*0x9e3779b97f4a7c15 ^ uint64(core)*0xc2b2ae3d27d4eb4f
 	h ^= h >> 32
-	return uint32(h) & uint32(s.cfg.Entries-1)
+	return uint32(h) & (Entries - 1)
 }
 
 // train updates the learned leeway toward the observed live span (set
 // accesses between fill/hit and the line's last use). Growth is immediate,
 // shrinkage needs repeated evidence (the paper's asymmetric update).
 func (s *Shared) train(slice int, a repl.Access, sig uint32, observed int) {
-	obs := uint8(min(observed, s.cfg.MaxLeeway))
+	obs := uint8(min(observed, MaxLeeway))
 	for _, b := range s.fab.TrainBanks(slice, a.Core, a.Cycle) {
 		e := &s.bank[b][sig]
 		switch {
@@ -118,7 +82,7 @@ func (s *Shared) predict(slice int, a repl.Access, sig uint32) (leeway uint8, la
 	b, lat := s.fab.PredictBank(slice, a.Core, a.Cycle)
 	e := s.bank[b][sig]
 	if !e.trained {
-		return uint8(s.cfg.MaxLeeway / 2), lat
+		return MaxLeeway / 2, lat
 	}
 	return e.leeway, lat
 }
@@ -147,13 +111,13 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	return &Slice{
 		shared:  shared,
 		sliceID: sliceID,
 		sel:     sel,
-		stamps:  make([]uint64, cfg.Sets*cfg.Ways),
-		lines:   make([]lineState, cfg.Sets*cfg.Ways),
+		stamps:  make([]uint64, g.Lines()),
+		lines:   make([]lineState, g.Lines()),
 	}
 }
 
@@ -163,15 +127,15 @@ func (p *Slice) Name() string { return "leeway" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // OnAccess implements repl.Observer: ages the set's idle counters.
 func (p *Slice) OnAccess(set int, a repl.Access, hit bool) {
 	if a.Type.IsDemand() {
 		p.sel.OnAccess(set, hit)
 	}
-	base := set * p.shared.cfg.Ways
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	base := set * p.shared.g.Ways
+	for w := 0; w < p.shared.g.Ways; w++ {
 		ln := &p.lines[base+w]
 		if ln.idleAcc < 255 {
 			ln.idleAcc++
@@ -200,10 +164,10 @@ func (ln *lineState) dead() bool { return ln.idleAcc > ln.leeway }
 
 // Victim implements repl.Policy: oldest dead line, else plain LRU.
 func (p *Slice) Victim(set int, _ repl.Access) int {
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	bestDead, bestLRU := -1, 0
 	var deadStamp, lruStamp uint64
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	for w := 0; w < p.shared.g.Ways; w++ {
 		st := p.stamps[base+w]
 		if p.lines[base+w].dead() && (bestDead < 0 || st < deadStamp) {
 			bestDead, deadStamp = w, st
@@ -252,15 +216,13 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 }
 
 // Budget reports per-core storage in bytes.
-func Budget(cfg Config, sampledSets int, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
 	out := map[string]int{
-		"predictor":     cfg.Entries * 10 / 8, // leeway + confidence
-		"line-metadata": cfg.Sets * cfg.Ways * 3,
+		"predictor":     Entries * 10 / 8, // leeway + confidence
+		"line-metadata": g.Lines() * 3,
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets
+		out["saturating-counters"] = g.SetsPerSlice
 	}
-	_ = sampledSets
 	return out
 }

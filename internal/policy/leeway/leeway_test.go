@@ -13,11 +13,8 @@ import (
 func build(t *testing.T, sets, ways int) (*Shared, *Slice) {
 	t.Helper()
 	fab := fabric.MustNew(fabric.Config{Placement: fabric.Local, Slices: 1, Cores: 1})
-	cfg := Config{Sets: sets, Ways: ways, Slices: 1, Cores: 1, SampledSets: sets}
-	sh, err := NewShared(cfg, fab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := repl.Geometry{SetsPerSlice: sets, Ways: ways, Slices: 1, Cores: 1, SampledSets: sets}
+	sh := NewShared(cfg, fab)
 	sel := sampler.NewStatic(sets, sets, stats.NewRand(1))
 	return sh, NewSlice(sh, 0, sel)
 }
@@ -97,7 +94,7 @@ func TestAsymmetricTraining(t *testing.T) {
 func TestUntrainedDefault(t *testing.T) {
 	sh, _ := build(t, 4, 2)
 	lw, _ := sh.predict(0, repl.Access{}, 123)
-	if lw == 0 || int(lw) > sh.cfg.MaxLeeway {
+	if lw == 0 || int(lw) > MaxLeeway {
 		t.Fatalf("untrained default %d", lw)
 	}
 }

@@ -10,7 +10,6 @@
 package mockingjay
 
 import (
-	"fmt"
 	"math"
 
 	"drishti/internal/fabric"
@@ -20,48 +19,15 @@ import (
 	"drishti/internal/sampler"
 )
 
-// Config sizes Mockingjay for one LLC slice population.
-type Config struct {
-	Sets        int
-	Ways        int
-	Slices      int
-	Cores       int
-	SampledSets int // per slice (paper: 32 baseline, 16 with Drishti)
-	RDPEntries  int // per bank (default 2048)
-	Granularity int // ETR clock granularity in set accesses (default 8)
-	MaxRD       int // reuse distances at/above this train as INF
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.SampledSets == 0 {
-		c.SampledSets = 32
-	}
-	if c.RDPEntries == 0 {
-		c.RDPEntries = 2048
-	}
-	if c.Granularity == 0 {
-		c.Granularity = 8
-	}
-	if c.MaxRD == 0 {
-		c.MaxRD = 8 * c.Ways * c.Granularity
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("mockingjay: geometry must be positive: %+v", c)
-	}
-	if c.SampledSets > c.Sets {
-		return fmt.Errorf("mockingjay: %d sampled sets exceed %d sets", c.SampledSets, c.Sets)
-	}
-	if c.RDPEntries&(c.RDPEntries-1) != 0 {
-		return fmt.Errorf("mockingjay: RDP entries must be a power of two")
-	}
-	return nil
-}
+// Table sizes (Table 3).
+const (
+	// RDPEntries is the 7-bit reuse-distance predictor entries per bank:
+	// 2K entries, 1.75 KB.
+	RDPEntries = 2048
+	// Granularity is the ETR clock's step in set accesses: 5-bit ETR
+	// counters aged by a 3-bit per-set clock.
+	Granularity = 8
+)
 
 // InfRD is the sentinel predicted reuse distance for lines never reused
 // within the modeled window.
@@ -76,27 +42,23 @@ type rdpEntry struct {
 
 // Shared holds the banked reuse-distance predictor.
 type Shared struct {
-	cfg  Config
+	g    repl.Geometry
 	fab  *fabric.Fabric
 	bank [][]rdpEntry
+	// maxRD is 8×Ways×Granularity: reuse distances at/above it train as
+	// INF.
+	maxRD int
 }
 
 // NewShared allocates RDP banks for the given fabric placement.
-func NewShared(cfg Config, fab *fabric.Fabric) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab}
+func NewShared(g repl.Geometry, fab *fabric.Fabric) *Shared {
+	s := &Shared{g: g, fab: fab, maxRD: 8 * g.Ways * Granularity}
 	s.bank = make([][]rdpEntry, fab.NumBanks())
 	for i := range s.bank {
-		s.bank[i] = make([]rdpEntry, cfg.RDPEntries)
+		s.bank[i] = make([]rdpEntry, RDPEntries)
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 // index hashes (PC, core, prefetch) into an RDP entry.
 func (s *Shared) index(pc uint64, core int, prefetch bool) uint32 {
@@ -105,14 +67,14 @@ func (s *Shared) index(pc uint64, core int, prefetch bool) uint32 {
 		h ^= 0xbf58476d1ce4e5b9
 	}
 	h ^= h >> 31
-	return uint32(h) & uint32(s.cfg.RDPEntries-1)
+	return uint32(h) & (RDPEntries - 1)
 }
 
 // train updates the RDP entry for sig toward the observed reuse distance
 // using Mockingjay's saturating temporal-difference rule.
 func (s *Shared) train(slice int, a repl.Access, sig uint32, observedRD int) {
 	obs := int16(observedRD)
-	if observedRD >= s.cfg.MaxRD {
+	if observedRD >= s.maxRD {
 		obs = InfRD
 	}
 	for _, b := range s.fab.TrainBanks(slice, a.Core, a.Cycle) {
@@ -123,14 +85,14 @@ func (s *Shared) train(slice int, a repl.Access, sig uint32, observedRD int) {
 			e.trained = true
 		case obs == InfRD:
 			// Scan evidence: move sharply toward INF.
-			if e.rd > int16(s.cfg.MaxRD/2) {
+			if e.rd > int16(s.maxRD/2) {
 				e.rd = InfRD
 			} else {
-				e.rd += int16(s.cfg.MaxRD / 4)
+				e.rd += int16(s.maxRD / 4)
 			}
 		case e.rd == InfRD:
 			// Evidence of reuse after an INF prediction: come back down.
-			e.rd = int16(s.cfg.MaxRD/2) + obs/2
+			e.rd = int16(s.maxRD/2) + obs/2
 		default:
 			diff := obs - e.rd
 			step := diff / 4
@@ -222,16 +184,16 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	p := &Slice{
 		shared:   shared,
 		sliceID:  sliceID,
 		sel:      sel,
 		selGen:   sel.Generation(),
-		etr:      make([]int16, cfg.Sets*cfg.Ways),
-		etrValid: make([]bool, cfg.Sets*cfg.Ways),
-		setClock: make([]uint16, cfg.Sets),
-		samples:  make([]*sampleSet, cfg.Sets),
+		etr:      make([]int16, g.Lines()),
+		etrValid: make([]bool, g.Lines()),
+		setClock: make([]uint16, g.SetsPerSlice),
+		samples:  make([]*sampleSet, g.SetsPerSlice),
 	}
 	return p
 }
@@ -242,7 +204,7 @@ func (p *Slice) Name() string { return "mockingjay" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // maybeFlush drops sampled history for sets no longer sampled; sets that
 // stay selected keep their entries (the hardware state remains valid).
@@ -259,7 +221,7 @@ func (p *Slice) maybeFlush() {
 
 // sampleCapacity bounds each sampled set's tracked lines; beyond this a
 // line has aged past the modeled window and trains as never-reused.
-func (p *Slice) sampleCapacity() int { return 8 * p.shared.cfg.Ways }
+func (p *Slice) sampleCapacity() int { return 8 * p.shared.g.Ways }
 
 // OnAccess implements repl.Observer: sampled-cache reuse tracking.
 func (p *Slice) OnAccess(set int, a repl.Access, hit bool) {
@@ -312,7 +274,7 @@ func (p *Slice) evictOldest(ss *sampleSet, a repl.Access) {
 	block, e, _ := ss.entries.At(int(uint32(best)))
 	old := *e
 	ss.entries.Delete(block)
-	p.shared.train(p.sliceID, repl.Access{Core: int(old.core), Cycle: a.Cycle}, old.sig, p.shared.cfg.MaxRD)
+	p.shared.train(p.sliceID, repl.Access{Core: int(old.core), Cycle: a.Cycle}, old.sig, p.shared.maxRD)
 }
 
 // ageSet decrements every line's ETR once per Granularity accesses to the
@@ -320,12 +282,12 @@ func (p *Slice) evictOldest(ss *sampleSet, a repl.Access) {
 // time remaining.
 func (p *Slice) ageSet(set int) {
 	p.setClock[set]++
-	if int(p.setClock[set]) < p.shared.cfg.Granularity {
+	if p.setClock[set] < Granularity {
 		return
 	}
 	p.setClock[set] = 0
-	base := set * p.shared.cfg.Ways
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	base := set * p.shared.g.Ways
+	for w := 0; w < p.shared.g.Ways; w++ {
 		i := base + w
 		if p.etrValid[i] && p.etr[i] > minETR {
 			p.etr[i]--
@@ -339,9 +301,9 @@ const minETR = -127
 // scaled converts a predicted reuse distance into an ETR counter value.
 func (p *Slice) scaled(rd int16) int16 {
 	if rd == InfRD {
-		return int16(p.shared.cfg.MaxRD/p.shared.cfg.Granularity) + 1
+		return int16(p.shared.maxRD/Granularity) + 1
 	}
-	return rd / int16(p.shared.cfg.Granularity)
+	return rd / Granularity
 }
 
 // OnHit implements repl.Policy: re-estimate the line's time remaining.
@@ -367,7 +329,7 @@ var DefaultRDDivisor = 2
 // defaultRD is the reuse distance assumed for PCs the RDP has not seen:
 // a middle priority, so unknown lines neither pin the set (rd=0 would make
 // them the last evicted) nor bypass.
-func (p *Slice) defaultRD() int16 { return int16(p.shared.cfg.MaxRD / DefaultRDDivisor) }
+func (p *Slice) defaultRD() int16 { return int16(p.shared.maxRD / DefaultRDDivisor) }
 
 // Victim implements repl.Policy: evict the line with the largest |ETR|
 // (reuse furthest in the future or most overdue). A demand fill whose own
@@ -378,7 +340,7 @@ func (p *Slice) defaultRD() int16 { return int16(p.shared.cfg.MaxRD / DefaultRDD
 // rank into one key whose minimum is the victim, so it is one branch-free
 // min per way.
 func (p *Slice) Victim(set int, a repl.Access) int {
-	ways := p.shared.cfg.Ways
+	ways := p.shared.g.Ways
 	base := set * ways
 	best := uint64(math.MaxUint64)
 	for w := range ways {
@@ -442,7 +404,7 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 	i := p.idx(set, way)
 	if a.Type == mem.Writeback {
 		// Dirty fills get the lowest priority: maximum time-remaining.
-		p.etr[i] = int16(p.shared.cfg.MaxRD/p.shared.cfg.Granularity) + 1
+		p.etr[i] = int16(p.shared.maxRD/Granularity) + 1
 		p.etrValid[i] = true
 		p.penalty = 0
 		return
@@ -477,15 +439,14 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 // entry sizes: the 32-set sampled cache costs 9.41 KB (≈301 B/set), the
 // 2K-entry 7-bit RDP 1.75 KB, and ETR state 20.75 KB for a 2048×16 slice
 // (5-bit ETR per line plus a 3-bit clock per set).
-func Budget(cfg Config, sampledSets int, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
 	out := map[string]int{
-		"sampled-cache": 9637 * sampledSets / 32, // 9.41 KB at 32 sets
-		"predictor":     cfg.RDPEntries * 7 / 8,
-		"etr-counters":  cfg.Sets*cfg.Ways*5/8 + cfg.Sets*3/8,
+		"sampled-cache": 9637 * g.SampledSets / 32, // 9.41 KB at 32 sets
+		"predictor":     RDPEntries * 7 / 8,
+		"etr-counters":  g.Lines()*5/8 + g.SetsPerSlice*3/8,
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets
+		out["saturating-counters"] = g.SetsPerSlice
 	}
 	return out
 }

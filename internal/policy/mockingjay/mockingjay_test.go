@@ -23,11 +23,8 @@ func build(t testing.TB, placement fabric.Placement, sets, ways, slices int) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Sets: sets, Ways: ways, Slices: slices, Cores: slices, SampledSets: sets}
-	sh, err := NewShared(cfg, fab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := repl.Geometry{SetsPerSlice: sets, Ways: ways, Slices: slices, Cores: slices, SampledSets: sets}
+	sh := NewShared(cfg, fab)
 	var ps []*Slice
 	for i := 0; i < slices; i++ {
 		sel := sampler.NewStatic(sets, sets, stats.NewRand(uint64(i)))
@@ -40,13 +37,11 @@ func load(pc, block uint64) repl.Access {
 	return repl.Access{PC: pc, Block: block, Type: mem.Load}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{Ways: 16}.Normalize()
-	if c.SampledSets != 32 || c.RDPEntries != 2048 || c.Granularity != 8 {
-		t.Fatalf("defaults %+v", c)
-	}
-	if c.MaxRD != 8*16*8 {
-		t.Fatalf("MaxRD %d", c.MaxRD)
+func TestMaxRDDerived(t *testing.T) {
+	fab := fabric.MustNew(fabric.Config{Placement: fabric.Local, Slices: 1, Cores: 1})
+	sh := NewShared(repl.Geometry{Slices: 1, Cores: 1, SetsPerSlice: 4, Ways: 16}, fab)
+	if sh.maxRD != 8*16*8 {
+		t.Fatalf("maxRD %d, want 8×ways×granularity = %d", sh.maxRD, 8*16*8)
 	}
 }
 
@@ -132,7 +127,7 @@ func TestAgingDecrementsETR(t *testing.T) {
 	_ = sh
 	p := ps[0]
 	p.etr[p.idx(0, 0)], p.etrValid[p.idx(0, 0)] = 10, true
-	for i := 0; i < p.shared.cfg.Granularity; i++ {
+	for i := 0; i < Granularity; i++ {
 		p.ageSet(0)
 	}
 	if p.etr[p.idx(0, 0)] != 9 {
@@ -155,7 +150,7 @@ func TestUntrainedDefaultMidPriority(t *testing.T) {
 	p := ps[0]
 	p.OnFill(0, 0, load(0xFEED, 4))
 	d := p.etr[p.idx(0, 0)]
-	max := int16(p.shared.cfg.MaxRD / p.shared.cfg.Granularity)
+	max := int16(p.shared.maxRD / Granularity)
 	if d <= 0 || d >= max {
 		t.Fatalf("untrained fill ETR %d, want strictly between 0 and %d", d, max)
 	}
@@ -190,7 +185,9 @@ func TestPeekMatchesPredict(t *testing.T) {
 }
 
 func TestBudgetDirection(t *testing.T) {
-	cfg := Config{Sets: 2048, Ways: 16, Slices: 32, Cores: 32}
+	base := repl.Geometry{SetsPerSlice: 2048, Ways: 16, Slices: 32, Cores: 32, SampledSets: 32}
+	drishti := base
+	drishti.SampledSets = 16
 	sum := func(m map[string]int) int {
 		t := 0
 		for _, v := range m {
@@ -198,7 +195,7 @@ func TestBudgetDirection(t *testing.T) {
 		}
 		return t
 	}
-	if sum(Budget(cfg, 16, true)) >= sum(Budget(cfg, 32, false)) {
+	if sum(Budget(drishti, true)) >= sum(Budget(base, false)) {
 		t.Fatal("Drishti must reduce Mockingjay's per-core storage (Table 3)")
 	}
 }

@@ -17,8 +17,8 @@ import (
 // more negative (overdue) line, then to the lower way, and an INF-predicted
 // demand or prefetch fill bypasses when its ETR exceeds every resident one.
 func refVictim(p *Slice, set int, a repl.Access) int {
-	base := set * p.shared.cfg.Ways
-	ways := p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
+	ways := p.shared.g.Ways
 	maxW, maxAbs := 0, int16(-1)
 	for w := 0; w < ways; w++ {
 		i := base + w
@@ -77,7 +77,7 @@ func TestVictimMatchesReference(t *testing.T) {
 			case 0:
 				sh.bank[0][sig] = rdpEntry{}
 			case 1:
-				sh.bank[0][sig] = rdpEntry{rd: int16(rng.IntN(sh.cfg.MaxRD)), trained: true}
+				sh.bank[0][sig] = rdpEntry{rd: int16(rng.IntN(sh.maxRD)), trained: true}
 			default:
 				sh.bank[0][sig] = rdpEntry{rd: InfRD, trained: true}
 			}
@@ -161,7 +161,7 @@ func (r *refSampler) onAccess(set int, a repl.Access, hit bool) {
 		r.sh.train(0, repl.Access{Core: int(e.core), Cycle: a.Cycle}, e.sig, int(ss.time-e.ts))
 		e.sig, e.core, e.ts = sig, uint16(a.Core), ss.time
 	} else {
-		if len(ss.entries) >= 8*r.sh.cfg.Ways {
+		if len(ss.entries) >= 8*r.sh.g.Ways {
 			var (
 				oldBlock uint64
 				oldEnt   *sampEntry
@@ -173,7 +173,7 @@ func (r *refSampler) onAccess(set int, a repl.Access, hit bool) {
 			}
 			delete(ss.entries, oldBlock)
 			r.evictions++
-			r.sh.train(0, repl.Access{Core: int(oldEnt.core), Cycle: a.Cycle}, oldEnt.sig, r.sh.cfg.MaxRD)
+			r.sh.train(0, repl.Access{Core: int(oldEnt.core), Cycle: a.Cycle}, oldEnt.sig, r.sh.maxRD)
 		}
 		ss.entries[a.Block] = &sampEntry{sig: sig, core: uint16(a.Core), ts: ss.time}
 	}
@@ -190,10 +190,7 @@ func TestSampledSetMatchesReference(t *testing.T) {
 	const sets, ways = 16, 2
 	mk := func() (*Shared, sampler.SetSelector) {
 		fab := fabric.MustNew(fabric.Config{Placement: fabric.Local, Slices: 1, Cores: 4})
-		sh, err := NewShared(Config{Sets: sets, Ways: ways, Slices: 1, Cores: 4, SampledSets: 4}, fab)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := NewShared(repl.Geometry{SetsPerSlice: sets, Ways: ways, Slices: 1, Cores: 4, SampledSets: 4}, fab)
 		dyn := sampler.MustDynamic(sampler.DynamicConfig{
 			Sets: sets, N: 4, CounterBits: 8, MonitorLen: 64, ActiveLen: 64, UniformThreshold: 1,
 		}, stats.NewRand(7))

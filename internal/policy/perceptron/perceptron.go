@@ -9,45 +9,15 @@
 package perceptron
 
 import (
-	"fmt"
-
 	"drishti/internal/fabric"
 	"drishti/internal/mem"
 	"drishti/internal/repl"
 	"drishti/internal/sampler"
 )
 
-// Config sizes the policy for one LLC slice population.
-type Config struct {
-	Sets        int
-	Ways        int
-	Slices      int
-	Cores       int
-	SampledSets int
-	TableBits   int // log2 entries per feature table (default 12)
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.SampledSets == 0 {
-		c.SampledSets = 64
-	}
-	if c.TableBits == 0 {
-		c.TableBits = 12
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("perceptron: geometry must be positive: %+v", c)
-	}
-	if c.TableBits < 4 || c.TableBits > 20 {
-		return fmt.Errorf("perceptron: table bits %d out of range", c.TableBits)
-	}
-	return nil
-}
+// TableBits is log2 of the entries per feature table: 4 tables × 4096
+// 6-bit weights, 12 KB.
+const TableBits = 12
 
 const (
 	numFeatures = 4
@@ -65,35 +35,28 @@ const (
 
 // Shared holds the banked feature tables.
 type Shared struct {
-	cfg Config
+	g   repl.Geometry
 	fab *fabric.Fabric
 	// bank × feature × entry; weights are "no-reuse" votes.
 	w [][][]int8
 }
 
 // NewShared allocates weight banks.
-func NewShared(cfg Config, fab *fabric.Fabric) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab}
+func NewShared(g repl.Geometry, fab *fabric.Fabric) *Shared {
+	s := &Shared{g: g, fab: fab}
 	s.w = make([][][]int8, fab.NumBanks())
 	for b := range s.w {
 		s.w[b] = make([][]int8, numFeatures)
 		for f := range s.w[b] {
-			s.w[b][f] = make([]int8, 1<<cfg.TableBits)
+			s.w[b][f] = make([]int8, 1<<TableBits)
 		}
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 // features hashes the multiperspective inputs into per-table indices.
 func (s *Shared) features(pc, block uint64, core int) [numFeatures]uint32 {
-	mask := uint32(1)<<s.cfg.TableBits - 1
+	const mask = 1<<TableBits - 1
 	var out [numFeatures]uint32
 	out[0] = uint32((pc^uint64(core)*0x9e3779b97f4a7c15)>>2) & mask
 	out[1] = uint32((pc>>5)*0xff51afd7ed558ccd>>30) & mask
@@ -163,13 +126,13 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	return &Slice{
 		shared:  shared,
 		sliceID: sliceID,
 		sel:     sel,
-		stamps:  make([]uint64, cfg.Sets*cfg.Ways),
-		lines:   make([]lineState, cfg.Sets*cfg.Ways),
+		stamps:  make([]uint64, g.Lines()),
+		lines:   make([]lineState, g.Lines()),
 	}
 }
 
@@ -179,7 +142,7 @@ func (p *Slice) Name() string { return "perceptron" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // OnAccess implements repl.Observer.
 func (p *Slice) OnAccess(set int, a repl.Access, hit bool) {
@@ -216,9 +179,9 @@ func (p *Slice) Victim(set int, a repl.Access) int {
 			return repl.Bypass
 		}
 	}
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	best, bestStamp := 0, p.stamps[base]
-	for w := 1; w < p.shared.cfg.Ways; w++ {
+	for w := 1; w < p.shared.g.Ways; w++ {
 		if p.stamps[base+w] < bestStamp {
 			best, bestStamp = w, p.stamps[base+w]
 		}
@@ -265,15 +228,13 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 }
 
 // Budget reports per-core storage in bytes.
-func Budget(cfg Config, sampledSets int, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
 	out := map[string]int{
-		"weights":       numFeatures * (1 << cfg.TableBits) * 6 / 8,
-		"line-metadata": cfg.Sets * cfg.Ways * 2,
+		"weights":       numFeatures * (1 << TableBits) * 6 / 8,
+		"line-metadata": g.Lines() * 2,
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets
+		out["saturating-counters"] = g.SetsPerSlice
 	}
-	_ = sampledSets
 	return out
 }

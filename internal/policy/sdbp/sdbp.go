@@ -11,45 +11,15 @@
 package sdbp
 
 import (
-	"fmt"
-
 	"drishti/internal/fabric"
 	"drishti/internal/mem"
 	"drishti/internal/repl"
 	"drishti/internal/sampler"
 )
 
-// Config sizes SDBP for one LLC slice population.
-type Config struct {
-	Sets        int
-	Ways        int
-	Slices      int
-	Cores       int
-	SampledSets int // per slice
-	TableBits   int // log2 entries per skewed table (default 12)
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.SampledSets == 0 {
-		c.SampledSets = 64
-	}
-	if c.TableBits == 0 {
-		c.TableBits = 12
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("sdbp: geometry must be positive: %+v", c)
-	}
-	if c.TableBits < 4 || c.TableBits > 20 {
-		return fmt.Errorf("sdbp: table bits %d out of range", c.TableBits)
-	}
-	return nil
-}
+// TableBits is log2 of the entries per skewed table: 3 tables × 4096
+// 2-bit counters, 3 KB.
+const TableBits = 12
 
 const (
 	numTables  = 3 // skewed predictor tables
@@ -61,35 +31,28 @@ const (
 
 // Shared holds the banked skewed predictor.
 type Shared struct {
-	cfg Config
+	g   repl.Geometry
 	fab *fabric.Fabric
 	// bank × table × entry
 	tables [][][]uint8
 }
 
 // NewShared allocates predictor banks.
-func NewShared(cfg Config, fab *fabric.Fabric) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab}
+func NewShared(g repl.Geometry, fab *fabric.Fabric) *Shared {
+	s := &Shared{g: g, fab: fab}
 	s.tables = make([][][]uint8, fab.NumBanks())
 	for b := range s.tables {
 		s.tables[b] = make([][]uint8, numTables)
 		for t := range s.tables[b] {
-			s.tables[b][t] = make([]uint8, 1<<cfg.TableBits)
+			s.tables[b][t] = make([]uint8, 1<<TableBits)
 		}
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 // indices computes the per-table skewed hash indices for (pc, core).
 func (s *Shared) indices(pc uint64, core int) [numTables]uint32 {
-	mask := uint32(1)<<s.cfg.TableBits - 1
+	const mask = 1<<TableBits - 1
 	h := pc ^ uint64(core)*0x9e3779b97f4a7c15
 	var out [numTables]uint32
 	out[0] = uint32(h*0xff51afd7ed558ccd>>29) & mask
@@ -151,13 +114,13 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	return &Slice{
 		shared:  shared,
 		sliceID: sliceID,
 		sel:     sel,
-		stamps:  make([]uint64, cfg.Sets*cfg.Ways),
-		lines:   make([]lineState, cfg.Sets*cfg.Ways),
+		stamps:  make([]uint64, g.Lines()),
+		lines:   make([]lineState, g.Lines()),
 	}
 }
 
@@ -167,7 +130,7 @@ func (p *Slice) Name() string { return "sdbp" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // OnAccess implements repl.Observer.
 func (p *Slice) OnAccess(set int, a repl.Access, hit bool) {
@@ -197,10 +160,10 @@ func (p *Slice) OnHit(set, way int, a repl.Access) {
 
 // Victim implements repl.Policy: prefer predicted-dead lines, else LRU.
 func (p *Slice) Victim(set int, _ repl.Access) int {
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	bestDead, bestLRU := -1, 0
 	var deadStamp, lruStamp uint64
-	for w := 0; w < p.shared.cfg.Ways; w++ {
+	for w := 0; w < p.shared.g.Ways; w++ {
 		st := p.stamps[base+w]
 		if p.lines[base+w].dead && (bestDead < 0 || st < deadStamp) {
 			bestDead, deadStamp = w, st
@@ -248,15 +211,13 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 }
 
 // Budget reports per-core storage in bytes.
-func Budget(cfg Config, sampledSets int, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
 	out := map[string]int{
-		"predictor":     numTables * (1 << cfg.TableBits) * 2 / 8,
-		"line-metadata": cfg.Sets * cfg.Ways * 3,
+		"predictor":     numTables * (1 << TableBits) * 2 / 8,
+		"line-metadata": g.Lines() * 3,
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets
+		out["saturating-counters"] = g.SetsPerSlice
 	}
-	_ = sampledSets
 	return out
 }

@@ -13,11 +13,8 @@ import (
 func build(t *testing.T, sets, ways int) (*Shared, *Slice) {
 	t.Helper()
 	fab := fabric.MustNew(fabric.Config{Placement: fabric.Local, Slices: 1, Cores: 1})
-	cfg := Config{Sets: sets, Ways: ways, Slices: 1, Cores: 1, SampledSets: sets}
-	sh, err := NewShared(cfg, fab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := repl.Geometry{SetsPerSlice: sets, Ways: ways, Slices: 1, Cores: 1, SampledSets: sets}
+	sh := NewShared(cfg, fab)
 	sel := sampler.NewStatic(sets, sets, stats.NewRand(1))
 	return sh, NewSlice(sh, 0, sel)
 }

@@ -7,45 +7,15 @@
 package shippp
 
 import (
-	"fmt"
-
 	"drishti/internal/fabric"
 	"drishti/internal/mem"
 	"drishti/internal/repl"
 	"drishti/internal/sampler"
 )
 
-// Config sizes SHiP++ for one LLC slice population.
-type Config struct {
-	Sets        int
-	Ways        int
-	Slices      int
-	Cores       int
-	SampledSets int // per slice (default 64; fewer with Drishti's DSC)
-	SHCTEntries int // per bank (default 16384)
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.SampledSets == 0 {
-		c.SampledSets = 64
-	}
-	if c.SHCTEntries == 0 {
-		c.SHCTEntries = 16384
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Ways <= 0 || c.Slices <= 0 || c.Cores <= 0 {
-		return fmt.Errorf("shippp: geometry must be positive: %+v", c)
-	}
-	if c.SHCTEntries&(c.SHCTEntries-1) != 0 {
-		return fmt.Errorf("shippp: SHCT entries must be a power of two")
-	}
-	return nil
-}
+// SHCTEntries is the 3-bit signature history counters per bank: 16K
+// entries, 6 KB.
+const SHCTEntries = 16384
 
 const (
 	shctMax = 7 // 3-bit counters, as in SHiP++
@@ -54,31 +24,24 @@ const (
 
 // Shared holds the banked SHCT.
 type Shared struct {
-	cfg  Config
+	g    repl.Geometry
 	fab  *fabric.Fabric
 	bank [][]uint8
 }
 
 // NewShared allocates the SHCT banks.
-func NewShared(cfg Config, fab *fabric.Fabric) (*Shared, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Shared{cfg: cfg, fab: fab}
+func NewShared(g repl.Geometry, fab *fabric.Fabric) *Shared {
+	s := &Shared{g: g, fab: fab}
 	s.bank = make([][]uint8, fab.NumBanks())
 	for i := range s.bank {
-		b := make([]uint8, cfg.SHCTEntries)
+		b := make([]uint8, SHCTEntries)
 		for j := range b {
 			b[j] = 1 // weakly not-reused, per the reference implementation
 		}
 		s.bank[i] = b
 	}
-	return s, nil
+	return s
 }
-
-// Config returns the normalized configuration.
-func (s *Shared) Config() Config { return s.cfg }
 
 func (s *Shared) index(pc uint64, core int, prefetch bool) uint32 {
 	h := pc*0x9e3779b97f4a7c15 ^ uint64(core)*0xd6e8feb86659fd93
@@ -86,7 +49,7 @@ func (s *Shared) index(pc uint64, core int, prefetch bool) uint32 {
 		h ^= 0xbf58476d1ce4e5b9
 	}
 	h ^= h >> 32
-	return uint32(h) & uint32(s.cfg.SHCTEntries-1)
+	return uint32(h) & (SHCTEntries - 1)
 }
 
 func (s *Shared) train(slice int, a repl.Access, sig uint32, reused bool) {
@@ -129,13 +92,13 @@ type Slice struct {
 
 // NewSlice builds the per-slice policy instance.
 func NewSlice(shared *Shared, sliceID int, sel sampler.SetSelector) *Slice {
-	cfg := shared.cfg
+	g := shared.g
 	p := &Slice{
 		shared:  shared,
 		sliceID: sliceID,
 		sel:     sel,
-		rrpv:    make([]uint8, cfg.Sets*cfg.Ways),
-		lines:   make([]lineState, cfg.Sets*cfg.Ways),
+		rrpv:    make([]uint8, g.Lines()),
+		lines:   make([]lineState, g.Lines()),
 	}
 	for i := range p.rrpv {
 		p.rrpv[i] = rrpvMax
@@ -149,7 +112,7 @@ func (p *Slice) Name() string { return "ship++" }
 // FillPenalty implements repl.FillLatencier.
 func (p *Slice) FillPenalty() uint32 { return p.penalty }
 
-func (p *Slice) idx(set, way int) int { return set*p.shared.cfg.Ways + way }
+func (p *Slice) idx(set, way int) int { return set*p.shared.g.Ways + way }
 
 // OnAccess implements repl.Observer: feeds the dynamic sampled cache.
 func (p *Slice) OnAccess(set int, a repl.Access, hit bool) {
@@ -174,14 +137,14 @@ func (p *Slice) OnHit(set, way int, a repl.Access) {
 
 // Victim implements repl.Policy: standard RRIP victim search.
 func (p *Slice) Victim(set int, _ repl.Access) int {
-	base := set * p.shared.cfg.Ways
+	base := set * p.shared.g.Ways
 	for {
-		for w := 0; w < p.shared.cfg.Ways; w++ {
+		for w := 0; w < p.shared.g.Ways; w++ {
 			if p.rrpv[base+w] >= rrpvMax {
 				return w
 			}
 		}
-		for w := 0; w < p.shared.cfg.Ways; w++ {
+		for w := 0; w < p.shared.g.Ways; w++ {
 			p.rrpv[base+w]++
 		}
 	}
@@ -224,16 +187,14 @@ func (p *Slice) OnFill(set, way int, a repl.Access) {
 }
 
 // Budget reports per-core storage in bytes.
-func Budget(cfg Config, sampledSets int, dynamic bool) map[string]int {
-	cfg = cfg.Normalize()
+func Budget(g repl.Geometry, dynamic bool) map[string]int {
 	out := map[string]int{
-		"shct":          cfg.SHCTEntries * 3 / 8,
-		"rrpv":          cfg.Sets * cfg.Ways * 2 / 8,
-		"line-metadata": cfg.Sets * cfg.Ways * 16 / 8, // sig + outcome bits
+		"shct":          SHCTEntries * 3 / 8,
+		"rrpv":          g.Lines() * 2 / 8,
+		"line-metadata": g.Lines() * 16 / 8, // sig + outcome bits
 	}
 	if dynamic {
-		out["saturating-counters"] = cfg.Sets
+		out["saturating-counters"] = g.SetsPerSlice
 	}
-	_ = sampledSets
 	return out
 }

@@ -61,6 +61,21 @@ type FillLatencier interface {
 	FillPenalty() uint32
 }
 
+// Geometry is the sliced LLC a predictor policy (internal/policy/*)
+// attaches to: Slices slices of SetsPerSlice×Ways lines, Cores cores
+// sharing the predictor fabric, and SampledSets sampled sets per slice.
+// internal/policies validates it once, before any policy sees it.
+type Geometry struct {
+	Slices       int
+	Cores        int
+	SetsPerSlice int
+	Ways         int
+	SampledSets  int
+}
+
+// Lines is the number of lines in one slice.
+func (g Geometry) Lines() int { return g.SetsPerSlice * g.Ways }
+
 // --- LRU -------------------------------------------------------------------
 
 // LRU is true least-recently-used replacement via per-set recency stamps.

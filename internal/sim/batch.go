@@ -142,14 +142,10 @@ type Variant struct {
 	Alone     bool
 	AloneCore int
 
-	// TelemetryTag, when non-empty, replaces the base config's
-	// TelemetryTag for this lane, so K lanes sharing one sink keep
-	// distinct attribution — a batched sweep cell's epochs carry the same
-	// tag its serial run would. Ignored for alone lanes (telemetry off).
-	TelemetryTag string
 	// TelemetrySink, when non-nil, replaces the base config's
-	// TelemetrySink for this lane (e.g. an obs.TagEpochs wrapper stamping
-	// lane/cell attribution). Ignored for alone lanes.
+	// TelemetrySink for this lane: an obs.TagEpochs wrapper stamping
+	// lane/cell attribution keeps K lanes sharing one sink apart. Ignored
+	// for alone lanes.
 	TelemetrySink obs.EpochSink
 }
 
@@ -188,9 +184,6 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 		} else {
 			if v.TelemetrySink != nil {
 				cfg.TelemetrySink = v.TelemetrySink
-			}
-			if v.TelemetryTag != "" {
-				cfg.TelemetryTag = v.TelemetryTag
 			}
 			if cfg.TelemetryEpoch > 0 && cfg.TelemetryTag == "" {
 				cfg.TelemetryTag = mix.Name

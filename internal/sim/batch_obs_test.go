@@ -11,10 +11,9 @@ import (
 )
 
 // TestBatchPerLaneTelemetryMatchesSerial is the per-lane attribution
-// regression test: a batched run with per-Variant telemetry tags and
-// sinks must emit, for every lane, the byte-identical epoch stream its
-// serial run emits. Before Variant.TelemetryTag existed, K lanes
-// funneled into one tag and the streams could not even be compared.
+// regression test: a batched run with a telemetry sink per Variant must
+// emit, for every lane, the byte-identical epoch stream its serial run
+// emits.
 func TestBatchPerLaneTelemetryMatchesSerial(t *testing.T) {
 	cfg, mix := batchTestConfig(t, 2)
 	cfg.TelemetryEpoch = 2000
@@ -26,7 +25,6 @@ func TestBatchPerLaneTelemetryMatchesSerial(t *testing.T) {
 		batchOut[i] = &bytes.Buffer{}
 		variants[i] = Variant{
 			Policy:        spec,
-			TelemetryTag:  "cell-" + spec.DisplayName(),
 			TelemetrySink: obs.NewNDJSONWriter(batchOut[i]),
 		}
 	}
@@ -40,7 +38,6 @@ func TestBatchPerLaneTelemetryMatchesSerial(t *testing.T) {
 		var serialOut bytes.Buffer
 		c := cfg
 		c.Policy = spec
-		c.TelemetryTag = "cell-" + spec.DisplayName()
 		c.TelemetrySink = obs.NewNDJSONWriter(&serialOut)
 		if _, err := RunMixContext(context.Background(), c, mix); err != nil {
 			t.Fatalf("serial %s: %v", spec.DisplayName(), err)

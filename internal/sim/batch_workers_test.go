@@ -42,7 +42,6 @@ func batchWorkersRun(t *testing.T, cfg Config, mix workload.Mix, workers int) ([
 	for i, spec := range batchTestSpecs {
 		variants[i] = Variant{
 			Policy:        spec,
-			TelemetryTag:  "cell-" + spec.DisplayName(),
 			TelemetrySink: obs.TagEpochs(sink, i+1, "wsweep"),
 		}
 	}

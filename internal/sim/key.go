@@ -30,7 +30,7 @@ func (c Config) Key() string {
 	fmt.Fprintf(&b, "|instr=%d|warmup=%d", c.Instructions, c.Warmup)
 	fmt.Fprintf(&b, "|cpu=%d,%d|seed=%d", u.IssueWidth, u.ROBSize, c.Seed)
 	fmt.Fprintf(&b, "|track=%t|incl=%t", c.TrackPCSlices, c.InclusiveLLC)
-	fmt.Fprintf(&b, "|mshr=%t,%d,%d,%d", c.ModelMSHRs, c.l1MSHRs(), c.l2MSHRs(), c.llcMSHRs())
+	fmt.Fprintf(&b, "|mshr=%t,%d,%d,%d", c.ModelMSHRs, l1MSHRs, l2MSHRs, llcMSHRs)
 	// TelemetryEpoch is keyed even though telemetry never changes results:
 	// a memo-cache hit replays no epochs, so a telemetry-enabled run must
 	// not be satisfied by a cached telemetry-off result (or vice versa).

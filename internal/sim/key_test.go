@@ -37,9 +37,6 @@ func TestConfigKeyDistinguishesFields(t *testing.T) {
 		"trackslices":  func(c *Config) { c.TrackPCSlices = true },
 		"inclusive":    func(c *Config) { c.InclusiveLLC = true },
 		"modelmshrs":   func(c *Config) { c.ModelMSHRs = true },
-		"l1mshrs":      func(c *Config) { c.ModelMSHRs = true; c.L1MSHRs = 4 },
-		"l2mshrs":      func(c *Config) { c.ModelMSHRs = true; c.L2MSHRs = 32 },
-		"llcmshrs":     func(c *Config) { c.ModelMSHRs = true; c.LLCMSHRs = 128 },
 		"sampledsets":  func(c *Config) { c.Policy.SampledSets = 3 },
 		"fixedsampled": func(c *Config) { c.Policy.FixedSampledSets = []int{1, 2} },
 	}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"drishti/internal/trace"
 	"drishti/internal/workload"
 )
 
@@ -61,13 +63,23 @@ func TestMSHRsThrottleMLP(t *testing.T) {
 	}
 }
 
-func TestMSHRSizesOverridable(t *testing.T) {
-	cfg := DefaultConfig(1)
-	if cfg.l1MSHRs() != 8 || cfg.l2MSHRs() != 16 || cfg.llcMSHRs() != 64 {
-		t.Fatal("Table 4 defaults wrong")
+// TestMSHRSizesAreTable4 checks that a machine modeling MSHRs builds each
+// core's files at Table 4's sizes, 8 (L1D), 16 (L2) and 64 (LLC slice),
+// and that Config.Key still spells them out as it did when they were
+// settable, so stored results keep their keys.
+func TestMSHRSizesAreTable4(t *testing.T) {
+	cfg := ScaledConfig(2, 8)
+	cfg.ModelMSHRs = true
+	if k := cfg.Key(); !strings.Contains(k, "|mshr=true,8,16,64|") {
+		t.Fatalf("key %q lacks |mshr=true,8,16,64|", k)
 	}
-	cfg.L1MSHRs = 32
-	if cfg.l1MSHRs() != 32 {
-		t.Fatal("override ignored")
+	s, err := New(cfg, make([]trace.Reader, cfg.Cores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < cfg.Cores; c++ {
+		if got := [3]int{len(s.l1MSHR[c].completions), len(s.l2MSHR[c].completions), len(s.llcMSHR[c].completions)}; got != [3]int{8, 16, 64} {
+			t.Fatalf("core %d MSHR sizes %v, want [8 16 64]", c, got)
+		}
 	}
 }

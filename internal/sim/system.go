@@ -207,7 +207,7 @@ func renew(spare *System, cfg Config, readers []trace.Reader) (*System, error) {
 	sets := cfg.llcSetsPerSlice()
 	s.setBits = uint(bits.TrailingZeros(uint(sets)))
 	s.sliceMask = uint64(cfg.Cores - 1)
-	geo := policies.Geometry{Slices: cfg.Cores, Cores: cfg.Cores, SetsPerSlice: sets, Ways: cfg.LLCWays}
+	geo := repl.Geometry{Slices: cfg.Cores, Cores: cfg.Cores, SetsPerSlice: sets, Ways: cfg.LLCWays}
 	var (
 		spareBuilt *policies.Built
 		spareLLC   []*cache.Cache
@@ -238,9 +238,9 @@ func renew(spare *System, cfg Config, readers []trace.Reader) (*System, error) {
 
 	if cfg.ModelMSHRs {
 		for c := 0; c < cfg.Cores; c++ {
-			s.l1MSHR = append(s.l1MSHR, newMSHRFile(cfg.l1MSHRs()))
-			s.l2MSHR = append(s.l2MSHR, newMSHRFile(cfg.l2MSHRs()))
-			s.llcMSHR = append(s.llcMSHR, newMSHRFile(cfg.llcMSHRs()))
+			s.l1MSHR = append(s.l1MSHR, newMSHRFile(l1MSHRs))
+			s.l2MSHR = append(s.l2MSHR, newMSHRFile(l2MSHRs))
+			s.llcMSHR = append(s.llcMSHR, newMSHRFile(llcMSHRs))
 		}
 	}
 
